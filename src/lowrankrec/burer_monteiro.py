@@ -12,15 +12,13 @@ high-rank reference solver.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import FDInconsistent
-from .numerics import RngStream, hermitize, least_squares, qr_projector, sample_gaussian
-from .phase_sync import torus_project
+from .numerics import RngStream, hermitize, least_squares, qr_projector, sample_gaussian, torus_project
 from .problems import SolveReport
 
 
@@ -69,44 +67,52 @@ def sync_cost(instance):
     return UnitDiagSDP(instance.n, -instance.observations, "sync", instance)
 
 
+def evaluate(C, V):
+    """Objective, Riemannian gradient and row multipliers at V, from one C @ V.
+
+    f(V) = Re Tr(C V V*); the multipliers lam_k = Re<v_k, (C V)_k> of the
+    unit-row constraints sum to f; the gradient is the Euclidean gradient
+    2 C V projected rowwise onto the tangent space, 2 ((C V)_k - lam_k v_k),
+    so Re<v_k, h_k> = 0.
+    """
+    W = C @ V
+    lam = np.real(np.einsum("ij,ij->i", V.conj(), W))
+    return float(np.real(np.vdot(V, W))), 2.0 * (W - lam[:, None] * V), lam
+
+
 def objective(problem, V):
     """f(V) = Re Tr(C V V*)."""
-    return float(np.real(np.vdot(V, problem.cost @ V)))
+    return evaluate(problem.cost, V)[0]
 
 
 def riemannian_grad(problem, V):
-    """Tangent gradient of f on the unit-row manifold.
-
-    Euclidean gradient G = 2 C V, projected rowwise:
-    h_k = g_k - Re<v_k, g_k> v_k, so Re<v_k, h_k> = 0.
-    """
-    G = 2.0 * (problem.cost @ V)
-    lam = np.real(np.einsum("ij,ij->i", V.conj(), G))
-    return G - lam[:, None] * V
+    """Tangent gradient of f on the unit-row manifold, see evaluate."""
+    return evaluate(problem.cost, V)[1]
 
 
 def row_multipliers(problem, V):
     """Rowwise Lagrange multipliers Re<v_k, (C V)_k> of the unit-row constraints."""
-    return np.real(np.einsum("ij,ij->i", V.conj(), problem.cost @ V))
+    return evaluate(problem.cost, V)[2]
+
+
+def _unit_rows(W, norms):
+    """W with each row divided by its norm; zero rows become the first basis direction."""
+    zero = norms == 0.0
+    U = W / np.where(zero, 1.0, norms)[:, None]
+    U[zero, 0] = 1.0
+    return U
 
 
 def retract(V, H):
     """Row renormalization of V + H; zero rows map to the first basis direction."""
     W = V + H
-    norms = np.linalg.norm(W, axis=1)
-    zero = norms == 0.0
-    if np.any(zero):
-        W = W.copy()
-        W[zero, :] = 0.0
-        W[zero, 0] = 1.0
-        norms = np.where(zero, 1.0, norms)
-    return W / norms[:, None]
+    return _unit_rows(W, np.linalg.norm(W, axis=1))
 
 
 def random_factor(rng, n, p, field="complex"):
     """Factor with rows drawn uniformly on the unit sphere."""
     V = sample_gaussian(rng, n * p, field).reshape(n, p)
-    return V / np.linalg.norm(V, axis=1)[:, None]
+    return _unit_rows(V, np.linalg.norm(V, axis=1))
 
 
 def opnorm_estimate(C, iters=30, rng=None):
@@ -127,7 +133,7 @@ def opnorm_estimate(C, iters=30, rng=None):
     return est
 
 
-def riemannian_gd(problem, p, rng, step0=None, max_iter=20000, grad_tol=None, v0=None):
+def riemannian_gd(problem, p, rng, max_iter=20000, v0=None):
     """Local descent on the factor, from rows uniform on the sphere (or v0).
 
     PhaseCut costs (provenance "phasecut") are solved by Levenberg-Marquardt
@@ -142,10 +148,10 @@ def riemannian_gd(problem, p, rng, step0=None, max_iter=20000, grad_tol=None, v0
 
     Either way the objective trace is non-increasing.  Gradient descent
     stops, converged, when the Riemannian gradient Frobenius norm drops
-    below grad_tol * N (grad_tol defaults to 1e-10 * the operator-norm
-    estimate); Levenberg-Marquardt requires that as well as a step below
-    _LM_XTOL relative to its iterate.  Both also stop, unconverged, at
-    max_iter or when no step decreases the objective any more.
+    below 1e-10 N times the operator-norm estimate; Levenberg-Marquardt
+    requires that as well as a step below _LM_XTOL relative to its iterate.
+    Both also stop, unconverged, at max_iter or when no step decreases the
+    objective any more.
 
     Returns (factor, report); report.estimate is None, the factor carries
     the result.
@@ -155,11 +161,8 @@ def riemannian_gd(problem, p, rng, step0=None, max_iter=20000, grad_tol=None, v0
     if not 1 <= p <= N:
         raise ValueError("need 1 <= p <= N")
     nrm = opnorm_estimate(C)
-    if grad_tol is None:
-        grad_tol = 1e-10 * max(nrm, 1e-300)
-    threshold = grad_tol * N
-    if step0 is None:
-        step0 = 0.5 / max(nrm, 1e-300)
+    threshold = 1e-10 * max(nrm, 1e-300) * N
+    step0 = 0.5 / max(nrm, 1e-300)
     V = random_factor(rng, N, p) if v0 is None else np.asarray(v0)
     if problem.provenance == "phasecut":
         if problem.instance is None:
@@ -181,15 +184,7 @@ def riemannian_gd(problem, p, rng, step0=None, max_iter=20000, grad_tol=None, v0
 def _rgd(C, V, step0, max_iter, threshold):
     """Riemannian gradient descent loop of riemannian_gd."""
 
-    def eval_point(X):
-        # one C @ X product serves objective, multipliers and gradient
-        W = C @ X
-        fx = float(np.real(np.vdot(X, W)))
-        lam = np.real(np.einsum("ij,ij->i", X.conj(), W))
-        grad = 2.0 * (W - lam[:, None] * X)
-        return fx, grad
-
-    f, H = eval_point(V)
+    f, H, _ = evaluate(C, V)
     trace = [f]
     V_prev = H_prev = None
     converged = False
@@ -210,7 +205,7 @@ def _rgd(C, V, step0, max_iter, threshold):
         accepted = False
         for _ in range(60):
             Vc = retract(V, -t * H)
-            fc, Hc = eval_point(Vc)
+            fc, Hc, _ = evaluate(C, Vc)
             if fc <= f - 1e-4 * t * gn2:
                 accepted = True
                 break
@@ -259,20 +254,15 @@ def _phasecut_lm(problem, V, max_iter, threshold):
     B, b = problem.instance.matrix, problem.instance.moduli
     X = least_squares(B, b[:, None] * V)
 
-    def factor(Y, rho):
-        U = Y / np.where(rho > 0, rho, 1.0)[:, None]
-        U[rho == 0, 0] = 1.0  # retract's convention for zero rows
-        return U
-
     def stationary(Y, rho):
-        return float(np.linalg.norm(riemannian_grad(problem, factor(Y, rho)))) < threshold
+        return float(np.linalg.norm(riemannian_grad(problem, _unit_rows(Y, rho)))) < threshold
 
     def optimal(Y, rho):
-        return dual_certificate(problem, factor(Y, rho)) >= -threshold
+        return dual_certificate(problem, _unit_rows(Y, rho)) >= -threshold
 
     X, trace, steps, converged = _vp_lm(B, b, X, max_iter, stationary, optimal)
     Y = B @ X
-    return factor(Y, np.linalg.norm(Y, axis=1)), steps, converged, trace
+    return _unit_rows(Y, np.linalg.norm(Y, axis=1)), steps, converged, trace
 
 
 def _vp_lm(B, b, X, max_iter, stationary=None, optimal=None):
@@ -385,8 +375,8 @@ def sosp_probe(problem, V, trials, rng, fd_tol=0.05):
     V = np.asarray(V)
     C = problem.cost
     n, p = V.shape
-    gnorm = float(np.linalg.norm(riemannian_grad(problem, V)))
-    lam = row_multipliers(problem, V)
+    f0, grad, lam = evaluate(C, V)
+    gnorm = float(np.linalg.norm(grad))
     scale_guard = 1e-8 * max(opnorm_estimate(C), 1e-300)
 
     def quadform(H):
@@ -394,7 +384,6 @@ def sosp_probe(problem, V, trials, rng, fd_tol=0.05):
                       - float(lam @ np.sum(np.abs(H) ** 2, axis=1)))
 
     def curve_second_diff(H, eps):
-        f0 = objective(problem, V)
         fp = objective(problem, retract(V, eps * H))
         fm = objective(problem, retract(V, -eps * H))
         return (fp - 2.0 * f0 + fm) / eps ** 2
@@ -432,7 +421,7 @@ def reference_rank(N):
     return math.ceil(math.sqrt(2 * N)) + 1
 
 
-def reference_sdp_solve(problem, rng, starts=3, max_iter=50000, grad_tol=None):
+def reference_sdp_solve(problem, rng, starts=3, max_iter=50000):
     """SDP-value oracle: high-rank factor descent with multi-starts.
 
     Uses p = ceil(sqrt(2N)) + 1 so that p(p+1)/2 > N (the number of affine
@@ -444,41 +433,9 @@ def reference_sdp_solve(problem, rng, starts=3, max_iter=50000, grad_tol=None):
     p = reference_rank(problem.dim)
     best = None
     for s in range(starts):
-        V, rep = riemannian_gd(
-            problem, p, rng.split(s), max_iter=max_iter, grad_tol=grad_tol
-        )
+        V, rep = riemannian_gd(problem, p, rng.split(s), max_iter=max_iter)
         val = rep.objective_trace[-1]
         if best is None or val < best[0]:
             best = (float(val), V)
     return best
 
-
-# --- raw problem import/export ------------------------------------------------
-
-def sdp_to_dict(problem):
-    c = np.asarray(problem.cost, dtype=complex)
-    return {
-        "type": "unit_diag_sdp",
-        "dim": problem.dim,
-        "cost": np.stack([c.real, c.imag], axis=-1).tolist(),
-    }
-
-
-def sdp_from_dict(d):
-    if d["type"] != "unit_diag_sdp":
-        raise ValueError(f"unknown problem type {d['type']!r}")
-    a = np.asarray(d["cost"], dtype=float)
-    cost = a[..., 0] + 1j * a[..., 1]
-    if np.all(cost.imag == 0.0):
-        cost = cost.real
-    return UnitDiagSDP(int(d["dim"]), hermitize(cost), "raw", None)
-
-
-def save_sdp(problem, path):
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(sdp_to_dict(problem), f)
-
-
-def load_sdp(path):
-    with open(path, "r", encoding="utf-8") as f:
-        return sdp_from_dict(json.load(f))

@@ -11,7 +11,9 @@ import argparse
 import json
 import sys
 
-from .burer_monteiro import phasecut_cost, riemannian_gd, round_factor, sync_cost
+import numpy as np
+
+from .burer_monteiro import phasecut_cost, riemannian_gd, riemannian_grad, round_factor, sync_cost
 from .errors import LowRankRecError
 from .harness import RUNNERS, ExperimentConfig
 from .numerics import RngStream
@@ -139,6 +141,7 @@ def _cmd_solve(args):
         V, report = riemannian_gd(prob, args.p, rng, max_iter=args.max_iter or 20000)
         est = round_factor(prob, V)
         out = _report_dict(report)
+        out["final_residual"] = float(np.linalg.norm(riemannian_grad(prob, V)))
         truth = inst.x_true if isinstance(inst, PhaseRetrievalInstance) else inst.z_true
         if truth is not None:
             field = inst.field if isinstance(inst, PhaseRetrievalInstance) else "complex"
@@ -156,13 +159,11 @@ def _cmd_solve(args):
 
 
 def _cmd_bench(args):
-    extras = {}
-    if args.m is not None:
-        extras["m"] = args.m
     config = ExperimentConfig(
         experiment=args.figure,
         seed=args.seed,
         n=args.n,
+        m=args.m,
         mn_grid=args.mn_grid or (),
         sigma_grid=args.sigma or (),
         d_grid=args.d_grid or (),
@@ -177,9 +178,8 @@ def _cmd_bench(args):
         max_iter=args.max_iter,
         loo=args.loo,
         out=args.out,
-        extras=extras,
     )
-    RUNNERS[args.figure](config)
+    RUNNERS[config.experiment](config)
     return 0
 
 

@@ -17,8 +17,11 @@ class RankDeficient(LowRankRecError):
     """A least-squares system does not have full column rank."""
 
 
-class InvalidDimension(LowRankRecError):
-    """A dimension precondition was violated (e.g. non power-of-two size)."""
+class InvalidDimension(LowRankRecError, ValueError):
+    """A dimension precondition was violated (e.g. non power-of-two size).
+
+    Also a ValueError: a bad size is a configuration error, exit code 2.
+    """
 
 
 class MissingGroundTruth(LowRankRecError):

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,6 +34,9 @@ SYNC_SIGMA_GRID = (0.0, 0.1, 0.2, 0.3, 0.5)
 # experiment tags for stream splitting
 _TAG_FIG1, _TAG_BASIN, _TAG_FIG3, _TAG_SYNC, _TAG_FIG5 = 1, 2, 3, 4, 5
 
+# CSV header of the fig1 and fig5 success curves
+SUCCESS_HEADER = ("algorithm", "n", "m", "trials", "successes", "success_rate", "seed")
+
 
 @dataclass
 class ExperimentConfig:
@@ -42,6 +45,7 @@ class ExperimentConfig:
     experiment: str
     seed: int = 0
     n: int | None = None
+    m: int | None = None            # fig3 and basin only
     mn_grid: tuple = ()
     sigma_grid: tuple = ()          # fractions of sqrt(n / log n)
     d_grid: tuple = ()
@@ -56,14 +60,6 @@ class ExperimentConfig:
     max_iter: int | None = None
     loo: bool = False
     out: str | None = None
-    extras: dict = dc_field(default_factory=dict)
-
-
-@dataclass
-class SuccessCurve:
-    rows: list  # (algorithm, n, m, trials, successes, success_rate, seed)
-
-    header = ("algorithm", "n", "m", "trials", "successes", "success_rate", "seed")
 
 
 def _fmt(v):
@@ -102,7 +98,10 @@ def _phasecut_reference_trial(n, m, kind, rng, tau):
 
 
 def run_fig1(config):
-    """Phase retrieval success curve over m/n at fixed n (default 40)."""
+    """Phase retrieval success curve over m/n at fixed n (default 40).
+
+    Returns rows (algorithm, n, m, trials, successes, success_rate, seed).
+    """
     n = config.n or 40
     grid = config.mn_grid or FIG1_MN_GRID
     trials = config.trials or 200
@@ -123,16 +122,15 @@ def run_fig1(config):
                     raise ValueError(f"unknown fig1 algorithm {algo!r}")
                 succ += bool(ok)
             rows.append((algo, n, m, trials, succ, succ / trials, config.seed))
-    curve = SuccessCurve(rows)
     if config.out:
-        write_csv(config.out, SuccessCurve.header, rows)
-    return curve
+        write_csv(config.out, SUCCESS_HEADER, rows)
+    return rows
 
 
 def run_fig3(config):
     """One-step displacement means for AP and WF on a real Gaussian instance."""
     n = config.n or 400
-    m = int(config.extras.get("m", 10 * n))
+    m = config.m if config.m is not None else 10 * n
     d_grid = config.d_grid or FIG3_D_GRID
     pairs = config.pairs
     algos = config.algos or ("AP", "WF")
@@ -161,7 +159,10 @@ def _bm_trial(inst, p, rng, tau, max_iter):
 
 
 def run_fig5(config):
-    """Burer-Monteiro phase retrieval success curves per (ensemble, factor width)."""
+    """Burer-Monteiro phase retrieval success curves per (ensemble, factor width).
+
+    Returns rows in the fig1 layout, one per (ensemble, width, m/n).
+    """
     n = config.n or 32
     grid = config.mn_grid or FIG5_MN_GRID
     trials = config.trials or 20
@@ -186,16 +187,15 @@ def run_fig5(config):
                     ok = _bm_trial(inst, p_eff, rng.split(1 + pi), config.tau, max_iter)
                     succ += bool(ok)
                 rows.append((label, n, m, trials, succ, succ / trials, config.seed))
-    curve = SuccessCurve(rows)
     if config.out:
-        write_csv(config.out, SuccessCurve.header, rows)
-    return curve
+        write_csv(config.out, SUCCESS_HEADER, rows)
+    return rows
 
 
 def run_basin(config):
     """Attraction-basin label grid of alternating projections (real field)."""
     n = config.n or 20
-    m = int(config.extras.get("m", 20 * n))
+    m = config.m if config.m is not None else 20 * n
     rng = RngStream(config.seed, (_TAG_BASIN,))
     inst = gen_phase_retrieval(n, m, "real-gaussian", rng.split(0))
     x = inst.x_true

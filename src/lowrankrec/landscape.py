@@ -11,7 +11,7 @@ import numpy as np
 
 from .errors import FDInconsistent, MissingGroundTruth
 from .numerics import qr_projector, solve_from_qr
-from .phase_retrieval import wf_loss
+from .phase_retrieval import ap_iterate, project_modulus, wf_loss
 from .problems import dist_mod_phase
 
 
@@ -150,10 +150,7 @@ def displacement_probe(algorithm, instance, d, pairs, rng):
         q, r = qr_projector(B)
 
         def T(X):
-            Y = B @ X
-            A = np.abs(Y)
-            P = b[:, None] * np.where(A > 0, Y / np.where(A > 0, A, 1.0), 1.0)
-            return solve_from_qr(q, r, P)
+            return solve_from_qr(q, r, project_modulus(B @ X, b[:, None]))
 
     elif algorithm == "WF":
         mu = 0.1 / float(np.mean(b ** 2))
@@ -170,7 +167,7 @@ def displacement_probe(algorithm, instance, d, pairs, rng):
     return float(disp.mean())
 
 
-def basin_map(instance, center, dirs, half_width, grid, rng=None,
+def basin_map(instance, center, dirs, half_width, grid,
               max_iter=2000, tol=1e-10, merge_scale=1e-4):
     """Attraction-basin labels of alternating projections on an affine 2-plane.
 
@@ -197,22 +194,8 @@ def basin_map(instance, center, dirs, half_width, grid, rng=None,
          + d2[:, None] * A2.ravel()[None, :])
     K = P.shape[1]
 
-    Y = q @ (q.T @ (B @ P))  # start in-range: y0 = projection of B p
-    active = np.ones(K, dtype=bool)
-    for _ in range(max_iter):
-        idx = np.flatnonzero(active)
-        if idx.size == 0:
-            break
-        Ya = Y[:, idx]
-        Aabs = np.abs(Ya)
-        Pm = b[:, None] * np.where(Aabs > 0, Ya / np.where(Aabs > 0, Aabs, 1.0), 1.0)
-        Yn = q @ (q.T @ Pm)
-        change = np.linalg.norm(Yn - Ya, axis=0)
-        norms = np.maximum(np.linalg.norm(Yn, axis=0), 1e-300)
-        Y[:, idx] = Yn
-        active[idx] = change > tol * norms
-
-    X = solve_from_qr(q, r, Y)
+    Y0 = q @ (q.T @ (B @ P))  # start in-range: y0 = projection of B p
+    X = solve_from_qr(q, r, ap_iterate(q, b, Y0, max_iter, tol)[0])
 
     radius = merge_scale * float(np.linalg.norm(instance.x_true))
     reps = []

@@ -66,8 +66,11 @@ def hermitize(a):
     return (a + a.conj().T) / 2.0
 
 
-def is_hermitian(a, tol=0.0):
-    return np.all(np.abs(a - a.conj().T) <= tol)
+def torus_project(z):
+    """Entrywise phase extraction z_k / |z_k|, with zero entries mapped to 1."""
+    z = np.asarray(z)
+    a = np.abs(z)
+    return np.divide(z, a, out=np.ones_like(z, dtype=np.result_type(z, 1.0)), where=a > 0)
 
 
 def _shifted_power(H, shift, sign, v0, tol, max_iter):

@@ -6,7 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import RngStream, dominant_eigenvector, hermitize, qr_projector, sample_gaussian, solve_from_qr
+from .numerics import (RngStream, dominant_eigenvector, hermitize, qr_projector, sample_gaussian,
+                       solve_from_qr, torus_project)
 from .problems import SolveReport, rel_error_mod_phase
 
 _SPECTRAL_SEED = 0x1A57  # fixed internal stream: solvers are deterministic given the instance
@@ -26,16 +27,56 @@ class WFConfig:
 
 def project_modulus(y, b):
     """Nearest point with |y'_k| = b_k; zero entries take phase 1."""
-    y = np.asarray(y)
-    b = np.asarray(b)
-    a = np.abs(y)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        ph = np.where(a > 0, y / np.where(a > 0, a, 1.0), 1.0)
-    return b * ph
+    return b * torus_project(y)
+
+
+def ap_iterate(q, b, Y, max_iter, tol, trace=False):
+    """Gerchberg-Saxton iteration y <- Q Q* P_moduli(y) on every column of Y.
+
+    q is the thin-QR factor of the measurement matrix.  A column stops when
+    its change is at most tol times its norm, or after max_iter steps; the
+    columns still running are kept as one contiguous block, compacted only
+    when some column stops.  Returns (Y, iterations, converged, residuals):
+    the final columns, each column's step count and stop flag, and with
+    trace (one column only) the residuals || |y_t| - b || per step, else
+    None.
+    """
+    Y = np.asarray(Y)
+    K = Y.shape[1]
+    if trace and K != 1:
+        raise ValueError("a residual trace needs a single column")
+    qh = q.conj().T
+    bc = b[:, None]
+    out = np.array(Y, dtype=np.result_type(q, Y))
+    iterations = np.full(K, max_iter)
+    converged = np.zeros(K, dtype=bool)
+    live = np.arange(K)
+    residuals = [] if trace else None
+    for it in range(1, max_iter + 1):
+        Y_new = q @ (qh @ project_modulus(Y, bc))
+        if trace:
+            residuals.append(float(np.linalg.norm(np.abs(Y_new[:, 0]) - b)))
+        D = Y_new - Y
+        # vecdot is the cheapest column norm at one column, where AP is
+        # bound by per-call overhead
+        change = np.sqrt(np.vecdot(D, D, axis=0).real)
+        norm = np.sqrt(np.vecdot(Y_new, Y_new, axis=0).real)
+        done = change <= tol * np.maximum(norm, 1e-300)
+        Y = Y_new
+        if done.any():
+            stopped = live[done]
+            out[:, stopped] = Y[:, done]
+            iterations[stopped] = it
+            converged[stopped] = True
+            live, Y = live[~done], Y[:, ~done]
+            if live.size == 0:
+                break
+    out[:, live] = Y
+    return out, iterations, converged, residuals
 
 
 def alternating_projections(instance, rng=None, max_iter=2000, tol=1e-9, y0=None):
-    """Gerchberg-Saxton iteration y <- P_range(P_moduli(y)).
+    """Gerchberg-Saxton iteration y <- P_range(P_moduli(y)), see ap_iterate.
 
     Starts from a Gaussian y0 in measurement space unless one is supplied.
     The range projection is applied through a thin QR of the measurement
@@ -43,36 +84,22 @@ def alternating_projections(instance, rng=None, max_iter=2000, tol=1e-9, y0=None
     residual_trace records || |y_t| - b || at the in-range iterates, which is
     non-increasing.  Stops when the relative iterate change drops below tol.
     """
-    B = instance.matrix
-    b = instance.moduli
-    q, r = qr_projector(B)
+    q, r = qr_projector(instance.matrix)
     if y0 is None:
         if rng is None:
             rng = RngStream(0)
-        y = sample_gaussian(rng, instance.m, instance.field)
-    else:
-        y = np.asarray(y0)
-    residuals = []
-    converged = False
-    iterations = 0
-    for _ in range(max_iter):
-        y_new = q @ (q.conj().T @ project_modulus(y, b))
-        iterations += 1
-        residuals.append(float(np.linalg.norm(np.abs(y_new) - b)))
-        change = np.linalg.norm(y_new - y)
-        y = y_new
-        if change <= tol * max(float(np.linalg.norm(y)), 1e-300):
-            converged = True
-            break
-    x = solve_from_qr(q, r, y)
+        y0 = sample_gaussian(rng, instance.m, instance.field)
+    Y, iterations, converged, residuals = ap_iterate(
+        q, instance.moduli, np.asarray(y0)[:, None], max_iter, tol, trace=True)
+    x = solve_from_qr(q, r, Y[:, 0])
     err = None
     if instance.x_true is not None:
         err = rel_error_mod_phase(x, instance.x_true, instance.field)
     return SolveReport(
         estimate=x,
         rel_error_mod_phase=err,
-        iterations=iterations,
-        converged=converged,
+        iterations=int(iterations[0]),
+        converged=bool(converged[0]),
         residual_trace=np.asarray(residuals),
     )
 

@@ -8,17 +8,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericFailure
-from .numerics import RngStream, dominant_eigenvector, sample_gaussian
+from .numerics import RngStream, dominant_eigenvector, sample_gaussian, torus_project
 from .problems import SolveReport, dist_mod_phase
 
 _INIT_SEED = 0x6E37  # fixed internal stream: gpm is deterministic given the instance
-
-
-def torus_project(z):
-    """Entrywise phase extraction z_k / |z_k|, with zero entries mapped to 1."""
-    z = np.asarray(z)
-    a = np.abs(z)
-    return np.where(a > 0, z / np.where(a > 0, a, 1.0), 1.0)
 
 
 def fixed_point_residual(C, z):

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -82,7 +82,6 @@ class SolveReport:
     converged: bool
     residual_trace: np.ndarray
     objective_trace: np.ndarray | None = None
-    extras: dict = dc_field(default_factory=dict)
 
 
 def haar_frame(n, m):

@@ -35,8 +35,8 @@ def report(criterion, ok, detail):
 def test_c01_fig1_alternating_projections_rates():
     targets = {2.0: 0.0, 3.0: 0.199, 4.0: 0.658, 5.0: 0.856, 6.0: 0.95, 7.5: 0.987}
     cfg = ExperimentConfig("fig1", seed=SEED, n=40, mn_grid=tuple(targets), trials=200)
-    curve = run_fig1(cfg)
-    rates = {m / 40: rate for (_, _, m, _, _, rate, _) in curve.rows}
+    rows = run_fig1(cfg)
+    rates = {m / 40: rate for (_, _, m, _, _, rate, _) in rows}
     gaps = {k: abs(rates[k] - targets[k]) for k in targets}
     ok = all(g <= 0.10 for g in gaps.values())
     report(1, ok, "AP rates " + ", ".join(f"{k}:{rates[k]:.3f}" for k in sorted(rates)))
@@ -51,8 +51,8 @@ def test_c02_fig5_burer_monteiro_rates():
         "fig5", seed=SEED, n=32, mn_grid=(5.0, 6.0, 7.0, 8.0), trials=20,
         p_values=(1, 2), ensembles=("structured-frame",)))
 
-    def rates(curve, p):
-        return {m / 32: r for (alg, _, m, _, _, r, _) in curve.rows
+    def rates(rows, p):
+        return {m / 32: r for (alg, _, m, _, _, r, _) in rows
                 if alg.startswith(f"bm-p{p}/")}
 
     g1, g2 = rates(gauss, 1), rates(gauss, 2)
@@ -78,7 +78,7 @@ def test_c02_fig5_burer_monteiro_rates():
 def test_c03_fig3_displacement_curves():
     d_grid = (0.0025, 0.01, 0.025, 0.05, 0.075, 0.1)
     rows = run_fig3(ExperimentConfig("fig3", seed=SEED, n=400, d_grid=d_grid,
-                                     pairs=1000, extras={"m": 4000}))
+                                     pairs=1000, m=4000))
     means = {(alg, d): v for (alg, d, v, _, _) in rows}
     wf_targets = {0.0025: 0.0017039957974030098, 0.05: 0.03406297986696872,
                   0.1: 0.06818228612076621}
@@ -261,11 +261,11 @@ def test_c10_benchmark_determinism(tmp_path):
     results = {
         "fig1": twice("fig1", seed=1, n=16, mn_grid=(3.0, 5.0), trials=5),
         "fig3": twice("fig3", seed=1, n=40, d_grid=(0.01, 0.1), pairs=25,
-                      extras={"m": 400}),
+                      m=400),
         "fig5": twice("fig5", seed=1, n=8, mn_grid=(3.0,), trials=3,
                       p_values=(1, 2), ensembles=("complex-gaussian",),
                       max_iter=2000),
-        "basin": twice("basin", seed=1, n=8, grid=7, extras={"m": 80},
+        "basin": twice("basin", seed=1, n=8, grid=7, m=80,
                        max_iter=300),
         "sync": twice("sync", seed=1, n=40, sigma_grid=(0.0, 0.2), loo=True),
     }

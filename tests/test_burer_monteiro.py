@@ -14,8 +14,6 @@ from lowrankrec.burer_monteiro import (
     riemannian_gd,
     riemannian_grad,
     round_factor,
-    sdp_from_dict,
-    sdp_to_dict,
     sosp_probe,
     sync_cost,
 )
@@ -312,12 +310,3 @@ class TestReferenceSolve:
         for n in (5, 20, 100, 256):
             p = reference_rank(n)
             assert p * (p + 1) // 2 > n
-
-
-class TestSerialization:
-    def test_roundtrip(self):
-        prob = random_cost(RngStream(37), 6)
-        back = sdp_from_dict(sdp_to_dict(prob))
-        assert back.dim == 6
-        assert np.allclose(back.cost, prob.cost, atol=1e-15)
-        assert back.provenance == "raw"

@@ -1,13 +1,16 @@
+import importlib.util
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import lowrankrec
 from lowrankrec.cli import main
 from lowrankrec.harness import (
+    SUCCESS_HEADER,
     ExperimentConfig,
-    SuccessCurve,
     fit_geometric_rate,
     run_basin,
     run_fig1,
@@ -34,7 +37,7 @@ class TestCSVDeterminism:
         out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
         for out in (out1, out2):
             run_fig3(ExperimentConfig("fig3", seed=3, n=40, d_grid=(0.01, 0.05),
-                                      pairs=20, extras={"m": 400}, out=str(out)))
+                                      pairs=20, m=400, out=str(out)))
         assert read(out1) == read(out2)
 
     def test_sync_byte_identical(self, tmp_path):
@@ -57,19 +60,19 @@ class TestCSVDeterminism:
         out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
         for out in (out1, out2):
             run_basin(ExperimentConfig("basin", seed=6, n=8, grid=7,
-                                       extras={"m": 80}, max_iter=300, out=str(out)))
+                                       m=80, max_iter=300, out=str(out)))
         assert read(out1) == read(out2)
 
 
 class TestCSVShape:
     def test_fig1_header_and_rows(self, tmp_path):
         out = tmp_path / "f1.csv"
-        curve = run_fig1(ExperimentConfig("fig1", seed=1, n=12, mn_grid=(3.0, 4.0),
-                                          trials=4, out=str(out)))
+        rows = run_fig1(ExperimentConfig("fig1", seed=1, n=12, mn_grid=(3.0, 4.0),
+                                         trials=4, out=str(out)))
         lines = read(out).decode().strip().split("\n")
-        assert lines[0] == ",".join(SuccessCurve.header)
+        assert lines[0] == ",".join(SUCCESS_HEADER)
         assert len(lines) == 1 + 2
-        for (alg, n, m, trials, succ, rate, seed) in curve.rows:
+        for (alg, n, m, trials, succ, rate, seed) in rows:
             assert succ <= trials
             assert rate == succ / trials
 
@@ -98,7 +101,7 @@ class TestCSVShape:
 
     def test_basin_labels(self):
         labels = run_basin(ExperimentConfig("basin", seed=6, n=8, grid=9,
-                                            extras={"m": 80}, max_iter=400))
+                                            m=80, max_iter=400))
         assert labels.shape == (9, 9)
         assert labels[4, 4] == 0  # center of the plane is the ground truth
 
@@ -106,7 +109,7 @@ class TestCSVShape:
         # the default benchmark setting: several basins appear but the
         # solution basin holds a strict majority of the grid
         labels = run_basin(ExperimentConfig("basin", seed=0, n=20, grid=101,
-                                            extras={"m": 400}))
+                                            m=400))
         assert len(np.unique(labels)) >= 2
         assert np.mean(labels == 0) > 0.5
 
@@ -160,6 +163,9 @@ class TestCLI:
         report = json.loads(read(rep_path))
         assert report["converged"] is True
         assert report["success"] is True
+        # the Riemannian gradient norm at the returned factor
+        assert isinstance(report["final_residual"], float)
+        assert math.isfinite(report["final_residual"])
 
     def test_gen_solve_sync(self, tmp_path):
         inst_path = tmp_path / "sync.json"
@@ -182,6 +188,12 @@ class TestCLI:
         rc = main(["gen", "pr", "--n", "8", "--out", str(tmp_path / "x.json")])
         assert rc == 2
 
+    def test_structured_frame_size_exit_code(self, tmp_path):
+        # the structured frame needs n a power of two: a configuration error
+        rc = main(["gen", "pr", "--n", "30", "--m", "120", "--ensemble", "structured-frame",
+                   "--out", str(tmp_path / "x.json")])
+        assert rc == 2
+
     def test_solver_mismatch_exit_code(self, tmp_path):
         inst_path = tmp_path / "sync.json"
         main(["gen", "sync", "--n", "10", "--sigma", "0.1", "--out", str(inst_path)])
@@ -195,3 +207,23 @@ class TestCLI:
               "--out", str(inst_path)])
         rc = main(["solve", "bm", "--in", str(inst_path), "--p", "1"])
         assert rc == 3
+
+
+class TestBenchmarkHooks:
+    def test_perfbench_wrapped_names_resolve(self, monkeypatch):
+        # perfbench/bench.py wraps library functions by module attribute name;
+        # installing its traced probe fails if any of those names is gone
+        bench_dir = Path(__file__).resolve().parent.parent / "perfbench"
+        monkeypatch.syspath_prepend(str(bench_dir))
+        spec = importlib.util.spec_from_file_location("perfbench_bench", bench_dir / "bench.py")
+        bench = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(bench)
+        probe = bench.Probe()
+        bench.install(probe, lowrankrec, traced=True)
+        originals = {}
+        for mod, attr, fn in probe._restore:
+            originals.setdefault((mod.__name__, attr), (mod, fn))
+        probe.unwrap()
+        assert originals
+        for (_, attr), (mod, fn) in originals.items():
+            assert getattr(mod, attr) is fn

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from lowrankrec.errors import RankDeficient
 from lowrankrec.numerics import (
@@ -10,6 +13,7 @@ from lowrankrec.numerics import (
     least_squares,
     qr_projector,
     sample_gaussian,
+    torus_project,
 )
 
 
@@ -163,3 +167,30 @@ def test_hermitize_is_exact():
     a = sample_gaussian(RngStream(41), 36, "complex").reshape(6, 6)
     H = hermitize(a)
     assert np.array_equal(H, H.conj().T)
+
+
+# exact zeros or moduli far from the float range's ends, so that scaling by
+# a positive factor neither underflows nor overflows
+_entries = st.one_of(st.just(0j), st.complex_numbers(min_magnitude=1e-100, max_magnitude=1e100))
+_vectors = arrays(np.complex128, st.integers(1, 16), elements=_entries)
+_property = settings(deadline=None, derandomize=True, database=None)
+
+
+class TestTorusProjectProperties:
+    @_property
+    @given(_vectors)
+    def test_idempotent(self, z):
+        p = torus_project(z)
+        assert np.allclose(torus_project(p), p, rtol=0.0, atol=1e-15)
+
+    @_property
+    @given(_vectors, st.floats(min_value=1e-100, max_value=1e100))
+    def test_invariant_under_positive_scaling(self, z, c):
+        assert np.allclose(torus_project(c * z), torus_project(z), rtol=0.0, atol=1e-15)
+
+    @_property
+    @given(_vectors)
+    def test_zero_entries_map_to_one(self, z):
+        p = torus_project(z)
+        assert np.all(p[z == 0] == 1.0)
+        assert np.allclose(np.abs(p), 1.0, rtol=0.0, atol=1e-15)

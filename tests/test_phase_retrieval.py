@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from lowrankrec.numerics import RngStream, sample_gaussian
+from lowrankrec.numerics import RngStream, qr_projector, sample_gaussian
 from lowrankrec.phase_retrieval import (
     WFConfig,
     alternating_projections,
+    ap_iterate,
     project_modulus,
     wf_grad,
     wf_loss,
@@ -72,6 +73,50 @@ class TestAlternatingProjections:
             rep = alternating_projections(inst, rng.split(1), max_iter=1500)
             succ += rep.rel_error_mod_phase < 1e-3
         assert succ / 60 <= 0.15
+
+
+class TestAPIterate:
+    def test_single_column_is_the_plain_loop(self):
+        # one column runs exactly the textbook iteration, bit for bit
+        inst = gen_phase_retrieval(10, 50, "complex-gaussian", RngStream(42))
+        q, _ = qr_projector(inst.matrix)
+        b = inst.moduli
+        y = sample_gaussian(RngStream(43), inst.m, "complex")
+        Y, iterations, converged, trace = ap_iterate(q, b, y[:, None], 2000, 1e-9, trace=True)
+        residuals = []
+        for t in range(1, 2001):
+            y_new = q @ (q.conj().T @ project_modulus(y, b))
+            residuals.append(float(np.linalg.norm(np.abs(y_new) - b)))
+            change = np.linalg.norm(y_new - y)
+            y = y_new
+            if change <= 1e-9 * np.linalg.norm(y):
+                break
+        assert converged[0] and iterations[0] == t
+        assert np.array_equal(Y[:, 0], y)
+        assert trace == residuals
+
+    @pytest.mark.parametrize("kind, max_iter", [("complex-gaussian", 200), ("real-gaussian", 7)])
+    def test_stacked_starts_match_single_columns(self, kind, max_iter):
+        # BLAS rounds a product with several columns (gemm) differently from
+        # a one-column product (gemv), so iterates agree to rounding error;
+        # iteration counts and stop reasons agree exactly
+        inst = gen_phase_retrieval(10, 40, kind, RngStream(44))
+        q, _ = qr_projector(inst.matrix)
+        Y0 = np.stack([sample_gaussian(RngStream(45, (k,)), inst.m, inst.field)
+                       for k in range(8)], axis=1)
+        Y, iterations, converged, trace = ap_iterate(q, inst.moduli, Y0, max_iter, 1e-9)
+        assert trace is None
+        assert 0 < converged.sum() < 8  # both stops, converged and capped, occur
+        for k in range(8):
+            y, it, conv, _ = ap_iterate(q, inst.moduli, Y0[:, k:k + 1], max_iter, 1e-9)
+            assert (it[0], conv[0]) == (iterations[k], converged[k])
+            assert np.linalg.norm(y[:, 0] - Y[:, k]) <= 1e-12 * np.linalg.norm(Y[:, k])
+
+    def test_trace_needs_one_column(self):
+        inst = gen_phase_retrieval(4, 16, "complex-gaussian", RngStream(46))
+        q, _ = qr_projector(inst.matrix)
+        with pytest.raises(ValueError):
+            ap_iterate(q, inst.moduli, np.ones((16, 2)), 5, 1e-9, trace=True)
 
 
 class TestWFLossGrad:
