@@ -242,7 +242,9 @@ def run_sync(config):
 
     Noise levels are given as fractions of sqrt(n / log n).
     """
-    n = config.n or 200
+    n = 200 if config.n is None else config.n
+    if n < 2:
+        raise ValueError(f"sync needs n >= 2, got {n}")
     fracs = config.sigma_grid or SYNC_SIGMA_GRID
     max_iter = config.max_iter or 1000
     scale = math.sqrt(n / math.log(n))
@@ -253,12 +255,12 @@ def run_sync(config):
         sigma = frac * scale
         rng = RngStream(config.seed, (_TAG_SYNC, si))
         inst = gen_sync(n, sigma, rng)
-        report, _ = gpm(inst, max_iter=max_iter, tol=tol)
+        report, history = gpm(inst, max_iter=max_iter, tol=tol)
         rho, r2 = fit_geometric_rate(report.residual_trace, floor=10 * tol)
         rows.append((frac, sigma, n, report.iterations, report.converged,
                      report.rel_error_mod_phase, rho, r2, config.seed))
         if config.loo:
-            diag = loo_run(inst, max_iter=max_iter, tol=tol)
+            diag = loo_run(inst, history)
             loo_tables.append((si, diag))
     if config.out:
         write_csv(config.out,

@@ -18,7 +18,6 @@ class WFConfig:
     step_scale: float = 0.1
     max_iter: int = 5000
     grad_tol: float = 1e-9
-    backtracking: bool = True
 
     def __post_init__(self):
         if self.step_scale <= 0 or self.grad_tol <= 0:
@@ -142,10 +141,10 @@ def wf_spectral_init(instance):
 def wirtinger_flow(instance, config=None, x0=None):
     """Gradient descent on the quartic loss from the spectral initializer.
 
-    The step is step_scale / mean(b^2); when backtracking is on it halves
-    whenever the loss would increase (and the reduced step is kept), so the
-    objective trace is non-increasing.  Stops when ||grad|| < grad_tol *
-    mean(b^2)^(3/2) or at max_iter.
+    The step is step_scale / mean(b^2); it halves whenever the loss would
+    increase (and the reduced step is kept), so the objective trace is
+    non-increasing.  Stops when ||grad|| < grad_tol * mean(b^2)^(3/2), after
+    60 halvings that do not reduce the loss, or at max_iter.
     """
     if config is None:
         config = WFConfig()
@@ -167,19 +166,14 @@ def wirtinger_flow(instance, config=None, x0=None):
             break
         cand = x - mu * g
         fc = wf_loss(instance, cand)
-        if config.backtracking:
-            stalled = False
-            halvings = 0
-            while fc > f:
-                halvings += 1
-                if halvings > 60:
-                    stalled = True
-                    break
-                mu *= 0.5
-                cand = x - mu * g
-                fc = wf_loss(instance, cand)
-            if stalled:
-                break
+        halvings = 0
+        while fc > f and halvings < 60:
+            halvings += 1
+            mu *= 0.5
+            cand = x - mu * g
+            fc = wf_loss(instance, cand)
+        if fc > f:  # stalled: 60 halvings did not reduce the loss
+            break
         x = cand
         f = fc
         iterations += 1

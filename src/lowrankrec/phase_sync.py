@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericFailure
+from .errors import NonConvergence, NumericFailure
 from .numerics import RngStream, dominant_eigenvector, sample_gaussian, torus_project
 from .problems import SolveReport, dist_mod_phase
 
@@ -25,7 +25,11 @@ def mle_objective(C, z):
     C must be Hermitian; a residual imaginary part above 1e-10 relative is
     reported as NumericFailure.
     """
-    q = complex(np.vdot(z, C @ z))
+    return _quadratic_form(z, C @ z)
+
+
+def _quadratic_form(z, Cz):
+    q = complex(np.vdot(z, Cz))
     if abs(q.imag) > 1e-10 * (1.0 + abs(q.real)):
         raise NumericFailure(f"quadratic form has imaginary part {q.imag:.3e}")
     return q.real
@@ -55,11 +59,13 @@ def gpm(instance, max_iter=1000, tol=None):
     z = _principal_vector(C)
     history = [z]
     residuals = []
-    objectives = [mle_objective(C, z)]
+    objectives = []
     converged = False
     iterations = 0
     for _ in range(max_iter + 1):
-        p = torus_project(C @ z)
+        Cz = C @ z
+        objectives.append(_quadratic_form(z, Cz))
+        p = torus_project(Cz)
         r = float(np.linalg.norm(p - z))
         residuals.append(r)
         if r < tol:
@@ -70,7 +76,6 @@ def gpm(instance, max_iter=1000, tol=None):
         z = p
         iterations += 1
         history.append(z)
-        objectives.append(mle_objective(C, z))
     err = dist_mod_phase(z, instance.z_true) / np.linalg.norm(instance.z_true)
     report = SolveReport(
         estimate=z,
@@ -128,32 +133,23 @@ def _aux_principal(C, W, n, tol=1e-9, max_iter=50_000):
         if np.all(res <= tol * (1.0 + np.abs(lam))):
             return V
         V = M / np.linalg.norm(M, axis=0)
-    return V
+    raise NonConvergence(f"leave-one-out power iteration residual {res.max():.3e} "
+                         f"above tol after {max_iter} iterations")
 
 
-def loo_run(instance, max_iter=200, tol=None):
-    """Main GPM sequence plus the n leave-one-out sequences, in lockstep.
+def loo_run(instance, history):
+    """The n leave-one-out sequences, in lockstep with gpm's iterates z_0 ... z_T.
 
     Each auxiliary sequence starts from the principal eigenvector of its own
-    modified observation matrix.  Lockstep stops when the main sequence meets
-    the fixed-point tolerance (default 1e-10 sqrt(n)) or at max_iter.
+    modified observation matrix and takes one GPM step per main step.
     """
     C = instance.observations
     W = instance.noise
-    n = instance.n
-    if tol is None:
-        tol = 1e-10 * np.sqrt(n)
-    z = _principal_vector(C)
-    Z = _aux_principal(C, W, n)
+    Z = _aux_principal(C, W, instance.n)
     max_dist, corr_main, corr_aux = [], [], []
-    for _ in range(max_iter):
-        p = torus_project(C @ z)
+    for z in history[1:]:
         M, _ = _aux_matvec(C, W, Z)
-        P = torus_project(M)
-        if float(np.linalg.norm(p - z)) < tol:
-            break
-        z, Z = p, P
-        # diagnostics at the new lockstep point
+        Z = torus_project(M)
         ip = np.abs(z.conj() @ Z)  # |<z, Z_:,k>| per column
         nz2 = float(np.real(np.vdot(z, z)))
         na2 = np.sum(np.abs(Z) ** 2, axis=0)

@@ -205,11 +205,6 @@ def _c2pairs(a):
     return np.stack([a.real, a.imag], axis=-1).tolist()
 
 
-def _pairs2c(data):
-    a = np.asarray(data, dtype=float)
-    return a[..., 0] + 1j * a[..., 1]
-
-
 def instance_to_dict(instance):
     if isinstance(instance, PhaseRetrievalInstance):
         return {
@@ -234,30 +229,63 @@ def instance_to_dict(instance):
     raise TypeError(f"cannot serialize {type(instance)!r}")
 
 
+def _get(d, key):
+    if key not in d:
+        raise ValueError(f"instance file: missing field {key!r}")
+    return d[key]
+
+
+def _dim(d, key):
+    v = _get(d, key)
+    if not isinstance(v, int) or v < 1:
+        raise ValueError(f"instance field {key!r} must be a positive integer, got {v!r}")
+    return v
+
+
+def _array(d, key, shape, pairs=True):
+    """Field key as a finite array of the given shape; pairs decode [re, im] to complex."""
+    v = _get(d, key)
+    try:
+        a = np.asarray(v, dtype=float)
+    except (TypeError, ValueError):
+        raise ValueError(f"instance field {key!r} is not a numeric array") from None
+    want = shape + (2,) if pairs else shape
+    if a.shape != want:
+        raise ValueError(f"instance field {key!r} has shape {a.shape}, expected {want}")
+    if not np.all(np.isfinite(a)):
+        raise ValueError(f"instance field {key!r} holds non-finite values")
+    return a[..., 0] + 1j * a[..., 1] if pairs else a
+
+
+def _choice(d, key, allowed):
+    v = _get(d, key)
+    if v not in allowed:
+        raise ValueError(f"instance field {key!r} must be one of {allowed}, got {v!r}")
+    return v
+
+
 def instance_from_dict(d):
-    if d["type"] == "phase_retrieval":
-        B = _pairs2c(d["matrix"])
-        field = d["field"]
+    """Decode an instance dict; a missing or malformed field raises ValueError naming it."""
+    if not isinstance(d, dict):
+        raise ValueError("instance file must hold a JSON object")
+    kind = _choice(d, "type", ("phase_retrieval", "phase_sync"))
+    n = _dim(d, "n")
+    if kind == "phase_retrieval":
+        m = _dim(d, "m")
+        field = _choice(d, "field", ("real", "complex"))
+        B = _array(d, "matrix", (m, n))
+        x = None if d.get("signal") is None else _array(d, "signal", (n,))
         if field == "real":
             B = B.real
-        sig = d.get("signal")
-        x = None if sig is None else _pairs2c(sig)
-        if x is not None and field == "real":
-            x = x.real
-        return PhaseRetrievalInstance(
-            MeasurementEnsemble(d["kind"], B),
-            np.asarray(d["moduli"], dtype=float),
-            x,
-            field,
-        )
-    if d["type"] == "phase_sync":
-        return SyncInstance(
-            _pairs2c(d["observations"]),
-            _pairs2c(d["truth"]),
-            float(d["sigma"]),
-            _pairs2c(d["noise"]),
-        )
-    raise ValueError(f"unknown instance type {d['type']!r}")
+            x = None if x is None else x.real
+        ensemble = MeasurementEnsemble(_choice(d, "kind", ENSEMBLE_KINDS), B)
+        return PhaseRetrievalInstance(ensemble, _array(d, "moduli", (m,), pairs=False), x, field)
+    return SyncInstance(
+        _array(d, "observations", (n, n)),
+        _array(d, "truth", (n,)),
+        float(_array(d, "sigma", (), pairs=False)),
+        _array(d, "noise", (n, n)),
+    )
 
 
 def save_instance(instance, path):

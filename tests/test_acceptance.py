@@ -198,7 +198,7 @@ def test_c07_leave_one_out_diagnostics():
     n = 200
     sigma = 0.2 * math.sqrt(n / math.log(n))
     inst = gen_sync(n, sigma, RngStream(SEED, (6, 1)))  # same setting as c06
-    diag = loo_run(inst, max_iter=300)
+    diag = loo_run(inst, gpm(inst, max_iter=300)[1])
     dist_bound = math.sqrt(n) / 60
     corr_bound = 5 * sigma * math.sqrt(n * math.log(n))
     ok_dist = bool(np.all(diag.max_dist_aux <= dist_bound))

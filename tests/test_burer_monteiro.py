@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from lowrankrec.burer_monteiro import (
     UnitDiagSDP,
@@ -134,6 +137,25 @@ class TestRetract:
         V = np.array([[1.0 + 0j, 0.0]])
         out = retract(V, -V)
         assert np.allclose(out, np.array([[1.0 + 0j, 0.0]]))
+
+
+# a block of factor rows: V and H stacked, some rows zero so that V + H can vanish
+_factor_pairs = st.tuples(st.integers(1, 8), st.integers(1, 4)).flatmap(
+    lambda shape: arrays(np.complex128, (2,) + shape, elements=st.one_of(
+        st.just(0j), st.complex_numbers(min_magnitude=1e-100, max_magnitude=1e100))))
+
+
+class TestRetractProperties:
+    @settings(deadline=None, derandomize=True, database=None)
+    @given(_factor_pairs, st.booleans())
+    def test_rows_land_on_the_unit_sphere(self, VH, real):
+        V, H = VH.real if real else VH
+        out = retract(V, H)
+        assert out.shape == V.shape
+        assert np.all(np.isfinite(out))
+        assert np.allclose(np.linalg.norm(out, axis=1), 1.0, rtol=0.0, atol=1e-14)
+        zero = ~np.any(V + H, axis=1)
+        assert np.all(out[zero, 0] == 1.0)
 
 
 class TestRiemannianGD:

@@ -200,6 +200,29 @@ class TestCLI:
         rc = main(["solve", "ap", "--in", str(inst_path)])
         assert rc == 2
 
+    @pytest.mark.parametrize("n", ["1", "0"])
+    def test_sync_bench_too_few_nodes_exit_code(self, tmp_path, n):
+        rc = main(["bench", "sync", "--n", n, "--out", str(tmp_path / "x.csv")])
+        assert rc == 2
+
+    def test_non_finite_instance_exit_code(self, tmp_path, capsys):
+        inst_path = tmp_path / "sync.json"
+        main(["gen", "sync", "--n", "10", "--sigma", "0.1", "--out", str(inst_path)])
+        data = json.loads(read(inst_path))
+        data["observations"][0][1][0] = float("nan")
+        inst_path.write_text(json.dumps(data))
+        assert main(["solve", "gpm", "--in", str(inst_path)]) == 2
+        assert "'observations'" in capsys.readouterr().err
+
+    def test_missing_field_exit_code(self, tmp_path, capsys):
+        inst_path = tmp_path / "sync.json"
+        main(["gen", "sync", "--n", "10", "--sigma", "0.1", "--out", str(inst_path)])
+        data = json.loads(read(inst_path))
+        del data["truth"]
+        inst_path.write_text(json.dumps(data))
+        assert main(["solve", "gpm", "--in", str(inst_path)]) == 2
+        assert "missing field 'truth'" in capsys.readouterr().err
+
     def test_numeric_failure_exit_code(self, tmp_path):
         # undersampled phasecut solve hits a rank-deficient system
         inst_path = tmp_path / "small.json"

@@ -3,8 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from lowrankrec.errors import NonConvergence
 from lowrankrec.numerics import RngStream, sample_gaussian
 from lowrankrec.phase_sync import (
+    _aux_matvec,
+    _aux_principal,
+    _principal_vector,
     fixed_point_residual,
     gpm,
     loo_run,
@@ -103,6 +107,15 @@ class TestMLEObjective:
         inst = gen_sync(n, 0.0, RngStream(10))
         assert mle_objective(inst.observations, inst.z_true) == pytest.approx(n * n, rel=1e-12)
 
+    def test_gpm_trace_is_the_objective_of_its_iterates(self):
+        # gpm takes the objective from the product it steps with; the values
+        # must be those of mle_objective at every visited iterate, bit for bit
+        for n, frac, max_iter in ((40, 0.0, 1000), (120, 0.3, 1000), (120, 0.5, 4)):
+            inst = gen_sync(n, frac * sigma_scale(n), RngStream(18))
+            report, history = gpm(inst, max_iter=max_iter)
+            expected = [mle_objective(inst.observations, z) for z in history]
+            assert np.array_equal(report.objective_trace, expected)
+
     def test_non_decreasing_along_iterates(self):
         n = 150
         inst = gen_sync(n, 0.3 * sigma_scale(n), RngStream(11))
@@ -137,7 +150,7 @@ class TestMLEObjective:
 class TestLeaveOneOut:
     def test_zero_noise_all_zero(self):
         inst = gen_sync(30, 0.0, RngStream(15))
-        diag = loo_run(inst, max_iter=50)
+        diag = loo_run(inst, gpm(inst, max_iter=50)[1])
         assert diag.iterations >= 1
         # the distance is computed through inner products, so machine noise
         # shows up at the sqrt(eps) scale
@@ -152,14 +165,56 @@ class TestLeaveOneOut:
         n = 200
         sigma = 0.2 * sigma_scale(n)
         inst = gen_sync(n, sigma, RngStream(0))
-        diag = loo_run(inst, max_iter=200)
+        diag = loo_run(inst, gpm(inst, max_iter=200)[1])
         assert diag.iterations >= 3
         assert np.all(diag.max_dist_aux <= math.sqrt(n) / 60)
         assert np.all(diag.max_corr_aux <= 5 * sigma * math.sqrt(n * math.log(n)))
 
     def test_rows_schema(self):
         inst = gen_sync(20, 0.3, RngStream(17))
-        diag = loo_run(inst, max_iter=30)
+        diag = loo_run(inst, gpm(inst, max_iter=30)[1])
         rows = list(diag.rows())
         assert len(rows) == diag.iterations
         assert rows[0][0] == 1 and len(rows[0]) == 4
+
+    def test_matches_recomputed_main_sequence(self):
+        # zero noise, moderate noise, and a run capped before convergence
+        cases = ((30, 0.0, 1000, True), (120, 0.3, 1000, True), (120, 0.5, 4, False))
+        for n, frac, max_iter, converges in cases:
+            inst = gen_sync(n, frac * sigma_scale(n), RngStream(19))
+            report, history = gpm(inst, max_iter=max_iter)
+            assert report.converged is converges
+            diag = loo_run(inst, history)
+            ref = lockstep_reference(inst, max_iter, 1e-10 * math.sqrt(n))
+            assert diag.iterations == report.iterations == len(ref[0])
+            assert np.array_equal(diag.max_dist_aux, ref[0])
+            assert np.array_equal(diag.max_corr_main, ref[1])
+            assert np.array_equal(diag.max_corr_aux, ref[2])
+
+    def test_aux_principal_non_convergence_raised(self):
+        inst = gen_sync(20, 0.3, RngStream(20))
+        with pytest.raises(NonConvergence):
+            _aux_principal(inst.observations, inst.noise, inst.n, max_iter=1)
+
+
+def lockstep_reference(inst, max_iter, tol):
+    """The main GPM sequence recomputed beside the auxiliary ones, step for step."""
+    C, W = inst.observations, inst.noise
+    z = _principal_vector(C)
+    Z = _aux_principal(C, W, inst.n)
+    max_dist, corr_main, corr_aux = [], [], []
+    for _ in range(max_iter):
+        p = torus_project(C @ z)
+        M, _ = _aux_matvec(C, W, Z)
+        P = torus_project(M)
+        if float(np.linalg.norm(p - z)) < tol:
+            break
+        z, Z = p, P
+        ip = np.abs(z.conj() @ Z)
+        nz2 = float(np.real(np.vdot(z, z)))
+        na2 = np.sum(np.abs(Z) ** 2, axis=0)
+        d2 = np.maximum(0.0, nz2 + na2 - 2.0 * ip)
+        max_dist.append(float(np.sqrt(d2.max())))
+        corr_main.append(float(np.abs(W @ z).max()))
+        corr_aux.append(float(np.abs(np.einsum("ij,ij->j", W.conj(), Z)).max()))
+    return np.asarray(max_dist), np.asarray(corr_main), np.asarray(corr_aux)

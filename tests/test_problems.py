@@ -1,5 +1,10 @@
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from lowrankrec.errors import InvalidDimension, MissingGroundTruth
 from lowrankrec.numerics import RngStream
@@ -166,3 +171,79 @@ class TestSerialization:
         assert np.array_equal(back.z_true, inst.z_true)
         assert np.array_equal(back.noise, inst.noise)
         assert back.sigma == inst.sigma
+
+    @pytest.mark.parametrize("edit, field", [
+        (lambda d: d.pop("noise"), "noise"),
+        (lambda d: d["truth"].pop(), "truth"),
+        (lambda d: d["observations"][2][3].__setitem__(1, float("inf")), "observations"),
+        (lambda d: d.__setitem__("sigma", float("nan")), "sigma"),
+        (lambda d: d.__setitem__("n", 6.0), "n"),
+    ])
+    def test_malformed_sync_rejected(self, edit, field):
+        d = instance_to_dict(gen_sync(7, 0.8, RngStream(34)))
+        edit(d)
+        with pytest.raises(ValueError, match=f"'{field}'"):
+            instance_from_dict(d)
+
+    @pytest.mark.parametrize("edit, field", [
+        (lambda d: d.__setitem__("m", 11), "matrix"),
+        (lambda d: d["moduli"].__setitem__(0, float("nan")), "moduli"),
+        (lambda d: d.__setitem__("field", "quaternion"), "field"),
+        (lambda d: d.__setitem__("signal", [[1.0, 0.0]]), "signal"),
+    ])
+    def test_malformed_phase_retrieval_rejected(self, edit, field):
+        d = instance_to_dict(gen_phase_retrieval(5, 12, "complex-gaussian", RngStream(35)))
+        edit(d)
+        with pytest.raises(ValueError, match=f"'{field}'"):
+            instance_from_dict(d)
+
+
+_property = settings(deadline=None, derandomize=True, database=None, max_examples=40)
+
+
+class TestSerializationProperties:
+    @_property
+    @given(st.integers(2, 9), st.floats(0.0, 5.0), st.integers(0, 2**32 - 1))
+    def test_sync_roundtrip_through_json(self, n, sigma, seed):
+        inst = gen_sync(n, sigma, RngStream(seed))
+        back = instance_from_dict(json.loads(json.dumps(instance_to_dict(inst))))
+        assert np.array_equal(back.observations, inst.observations)
+        assert np.array_equal(back.z_true, inst.z_true)
+        assert np.array_equal(back.noise, inst.noise)
+        assert back.sigma == inst.sigma
+
+    @_property
+    @given(st.sampled_from(("complex-gaussian", "real-gaussian", "structured-frame")),
+           st.sampled_from((1, 2, 4, 8)), st.integers(1, 20), st.integers(0, 2**32 - 1))
+    def test_phase_retrieval_roundtrip_through_json(self, kind, n, m, seed):
+        inst = gen_phase_retrieval(n, m, kind, RngStream(seed))
+        back = instance_from_dict(json.loads(json.dumps(instance_to_dict(inst))))
+        assert back.ensemble.kind == kind and back.field == inst.field
+        assert np.iscomplexobj(back.matrix) == np.iscomplexobj(inst.matrix)
+        assert np.array_equal(back.matrix, inst.matrix)
+        assert np.array_equal(back.moduli, inst.moduli)
+        assert np.array_equal(back.x_true, inst.x_true)
+
+
+# moduli bounded so that squared norms stay far from the float range's ends
+_cvectors = st.integers(1, 12).flatmap(
+    lambda k: arrays(np.complex128, (2, k), elements=st.complex_numbers(max_magnitude=1e3)))
+_phases = st.floats(-2 * np.pi, 2 * np.pi)
+
+
+class TestDistModPhaseProperties:
+    @_property
+    @given(_cvectors, _phases, _phases)
+    def test_invariant_under_global_phases(self, uv, a, b):
+        u, v = uv
+        tol = 1e-12 * (1.0 + np.linalg.norm(u) + np.linalg.norm(v))
+        d = dist_mod_phase(u, v)
+        assert abs(dist_mod_phase(np.exp(1j * a) * u, np.exp(1j * b) * v) - d) <= tol
+        assert abs(dist_mod_phase(v, u) - d) <= tol
+
+    @_property
+    @given(_cvectors)
+    def test_real_sign_invariance(self, uv):
+        u, v = uv.real
+        tol = 1e-12 * (1.0 + np.linalg.norm(u) + np.linalg.norm(v))
+        assert abs(dist_mod_phase(u, -v) - dist_mod_phase(u, v)) <= tol
