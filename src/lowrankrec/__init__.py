@@ -19,7 +19,6 @@ from .numerics import (
     sample_gaussian,
 )
 from .problems import (
-    MeasurementEnsemble,
     PhaseRetrievalInstance,
     SolveReport,
     SyncInstance,
@@ -32,7 +31,6 @@ from .problems import (
     success,
 )
 from .phase_retrieval import (
-    WFConfig,
     alternating_projections,
     project_modulus,
     wf_grad,

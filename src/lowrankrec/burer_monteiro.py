@@ -109,21 +109,19 @@ def retract(V, H):
     return _unit_rows(W, np.linalg.norm(W, axis=1))
 
 
-def random_factor(rng, n, p, field="complex"):
-    """Factor with rows drawn uniformly on the unit sphere."""
-    V = sample_gaussian(rng, n * p, field).reshape(n, p)
+def random_factor(rng, n, p):
+    """Complex factor with rows drawn uniformly on the unit sphere."""
+    V = sample_gaussian(rng, n * p, "complex").reshape(n, p)
     return _unit_rows(V, np.linalg.norm(V, axis=1))
 
 
-def opnorm_estimate(C, iters=30, rng=None):
-    """Cheap spectral-norm estimate by power iteration on C* C (via C twice)."""
-    if rng is None:
-        rng = RngStream(0x09)
+def opnorm_estimate(C):
+    """Cheap spectral-norm estimate: 30 power steps on C* C (via C twice)."""
     field = "real" if np.isrealobj(C) else "complex"
-    v = sample_gaussian(rng, C.shape[0], field)
+    v = sample_gaussian(RngStream(0x09), C.shape[0], field)
     v /= np.linalg.norm(v)
     est = 0.0
-    for _ in range(iters):
+    for _ in range(30):
         w = C.conj().T @ (C @ v)
         nw = float(np.linalg.norm(w))
         if nw == 0.0:
@@ -344,7 +342,7 @@ def dual_certificate(problem, V):
     return float(np.linalg.eigvalsh(problem.cost - np.diag(lam))[0])
 
 
-def round_factor(problem, V, instance=None):
+def round_factor(problem, V):
     """Rank-one rounding of a feasible factor.
 
     Takes the dominant eigenvector of V V* scaled by the square root of its
@@ -356,21 +354,21 @@ def round_factor(problem, V, instance=None):
     u = U[:, 0] * S[0]
     z = torus_project(u)
     if problem.provenance == "phasecut":
-        inst = instance if instance is not None else problem.instance
+        inst = problem.instance
         if inst is None:
             raise ValueError("phasecut rounding needs the originating instance")
         return least_squares(inst.matrix, inst.moduli * z)
     return z
 
 
-def sosp_probe(problem, V, trials, rng, fd_tol=0.05):
+def sosp_probe(problem, V, trials, rng):
     """Sampled check of the second-order criticality conditions at V.
 
     For random unit tangent directions H the Riemannian-Hessian quadratic
     form q(H) = 2 (Re Tr(H* C H) - sum_k lam_k ||h_k||^2) is evaluated and
     cross-validated against the second central difference of the objective
-    along the retraction curve t -> retract(V, tH); disagreement beyond
-    fd_tol relative raises FDInconsistent.  Records the minimum over trials.
+    along the retraction curve t -> retract(V, tH); disagreement beyond 5%
+    relative raises FDInconsistent.  Records the minimum over trials.
     """
     V = np.asarray(V)
     C = problem.cost
@@ -401,7 +399,7 @@ def sosp_probe(problem, V, trials, rng, fd_tol=0.05):
         d1 = curve_second_diff(H, 1e-3)
         d2 = curve_second_diff(H, 5e-4)
         ref = (4.0 * d2 - d1) / 3.0
-        if abs(q - ref) > fd_tol * max(abs(q), abs(ref), scale_guard):
+        if abs(q - ref) > 0.05 * max(abs(q), abs(ref), scale_guard):
             raise FDInconsistent(
                 f"quadratic form {q:.6e} vs finite difference {ref:.6e}"
             )
@@ -421,19 +419,20 @@ def reference_rank(N):
     return math.ceil(math.sqrt(2 * N)) + 1
 
 
-def reference_sdp_solve(problem, rng, starts=3, max_iter=50000):
-    """SDP-value oracle: high-rank factor descent with multi-starts.
+def reference_sdp_solve(problem, rng):
+    """SDP-value oracle: high-rank factor descent from three starts.
 
     Uses p = ceil(sqrt(2N)) + 1 so that p(p+1)/2 > N (the number of affine
     constraints), the regime where spurious second-order critical points
-    generically do not exist; returns the best (value, factor) over starts.
+    generically do not exist; each start runs at most 50,000 steps.  Returns
+    the best (value, factor) over the starts.
     """
     if problem.dim > 512:
         raise ValueError("reference solver limited to N <= 512")
     p = reference_rank(problem.dim)
     best = None
-    for s in range(starts):
-        V, rep = riemannian_gd(problem, p, rng.split(s), max_iter=max_iter)
+    for s in range(3):
+        V, rep = riemannian_gd(problem, p, rng.split(s), max_iter=50000)
         val = rep.objective_trace[-1]
         if best is None or val < best[0]:
             best = (float(val), V)

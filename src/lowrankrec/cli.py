@@ -17,7 +17,7 @@ from .burer_monteiro import phasecut_cost, riemannian_gd, riemannian_grad, round
 from .errors import LowRankRecError
 from .harness import RUNNERS, ExperimentConfig
 from .numerics import RngStream
-from .phase_retrieval import WFConfig, alternating_projections, wirtinger_flow
+from .phase_retrieval import alternating_projections, wirtinger_flow
 from .phase_sync import gpm
 from .problems import (
     PhaseRetrievalInstance,
@@ -32,6 +32,10 @@ from .problems import (
 
 def _parse_grid(text):
     return tuple(float(v) for v in text.split(","))
+
+
+def _parse_list(text):
+    return tuple(text.split(","))
 
 
 def _parse_p_values(text):
@@ -69,22 +73,27 @@ def build_parser():
     p_solve.add_argument("--max-iter", type=int, default=None)
     p_solve.add_argument("--out", help="write the JSON report here instead of stdout")
 
-    p_bench = sub.add_parser("bench", help="reproduce a figure as CSV")
-    p_bench.add_argument("figure", choices=tuple(RUNNERS))
+    # every bench dest is an ExperimentConfig field, and an omitted flag
+    # leaves the field unset, so the config and its runner hold the defaults
+    p_bench = sub.add_parser("bench", help="reproduce a figure as CSV",
+                             argument_default=argparse.SUPPRESS)
+    p_bench.add_argument("experiment", metavar="figure", choices=tuple(RUNNERS))
     p_bench.add_argument("--n", type=int)
     p_bench.add_argument("--m", type=int)
     p_bench.add_argument("--mn-grid", type=_parse_grid)
-    p_bench.add_argument("--sigma", type=_parse_grid,
+    p_bench.add_argument("--sigma", dest="sigma_grid", type=_parse_grid,
                          help="sync noise grid, fractions of sqrt(n/log n)")
     p_bench.add_argument("--d-grid", type=_parse_grid)
-    p_bench.add_argument("--trials", type=int, default=0)
-    p_bench.add_argument("--seed", type=int, default=0)
-    p_bench.add_argument("--p", type=_parse_p_values, help="factor widths, e.g. 1,2,ref")
-    p_bench.add_argument("--ensemble", help="comma list of measurement ensembles")
-    p_bench.add_argument("--algos", help="comma list of algorithms")
-    p_bench.add_argument("--tau", type=float, default=1e-3)
-    p_bench.add_argument("--pairs", type=int, default=1000)
-    p_bench.add_argument("--grid", type=int, default=101)
+    p_bench.add_argument("--trials", type=int)
+    p_bench.add_argument("--seed", type=int)
+    p_bench.add_argument("--p", dest="p_values", type=_parse_p_values,
+                         help="factor widths, e.g. 1,2,ref")
+    p_bench.add_argument("--ensemble", dest="ensembles", type=_parse_list,
+                         help="comma list of measurement ensembles")
+    p_bench.add_argument("--algos", type=_parse_list, help="comma list of algorithms")
+    p_bench.add_argument("--tau", type=float)
+    p_bench.add_argument("--pairs", type=int)
+    p_bench.add_argument("--grid", type=int)
     p_bench.add_argument("--half-width", type=float)
     p_bench.add_argument("--max-iter", type=int)
     p_bench.add_argument("--loo", action="store_true")
@@ -117,19 +126,20 @@ def _report_dict(report):
 def _cmd_solve(args):
     inst = load_instance(args.infile)
     rng = RngStream(args.seed)
+    # without --max-iter each solver keeps its own cap
+    cap = {} if args.max_iter is None else {"max_iter": args.max_iter}
     if args.solver in ("ap", "wf"):
         if not isinstance(inst, PhaseRetrievalInstance):
             raise ValueError(f"{args.solver} expects a phase retrieval instance")
         if args.solver == "ap":
-            report = alternating_projections(inst, rng, max_iter=args.max_iter or 2000)
+            report = alternating_projections(inst, rng, **cap)
         else:
-            cfg = WFConfig(max_iter=args.max_iter or 5000)
-            report = wirtinger_flow(inst, cfg)
+            report = wirtinger_flow(inst, **cap)
         out = _report_dict(report)
     elif args.solver == "gpm":
         if not isinstance(inst, SyncInstance):
             raise ValueError("gpm expects a synchronization instance")
-        report, _ = gpm(inst, max_iter=args.max_iter or 1000)
+        report, _ = gpm(inst, **cap)
         out = _report_dict(report)
     else:  # bm
         if isinstance(inst, PhaseRetrievalInstance):
@@ -138,7 +148,7 @@ def _cmd_solve(args):
             prob = sync_cost(inst)
         else:
             raise ValueError("bm expects a phase retrieval or synchronization instance")
-        V, report = riemannian_gd(prob, args.p, rng, max_iter=args.max_iter or 20000)
+        V, report = riemannian_gd(prob, args.p, rng, **cap)
         est = round_factor(prob, V)
         out = _report_dict(report)
         out["final_residual"] = float(np.linalg.norm(riemannian_grad(prob, V)))
@@ -159,34 +169,29 @@ def _cmd_solve(args):
 
 
 def _cmd_bench(args):
-    config = ExperimentConfig(
-        experiment=args.figure,
-        seed=args.seed,
-        n=args.n,
-        m=args.m,
-        mn_grid=args.mn_grid or (),
-        sigma_grid=args.sigma or (),
-        d_grid=args.d_grid or (),
-        trials=args.trials,
-        algos=tuple(args.algos.split(",")) if args.algos else (),
-        p_values=args.p or (),
-        ensembles=tuple(args.ensemble.split(",")) if args.ensemble else (),
-        tau=args.tau,
-        pairs=args.pairs,
-        grid=args.grid,
-        half_width=args.half_width,
-        max_iter=args.max_iter,
-        loo=args.loo,
-        out=args.out,
-    )
+    config = ExperimentConfig(**{k: v for k, v in vars(args).items() if k != "command"})
     RUNNERS[config.experiment](config)
     return 0
+
+
+# count flags by dest; a value below 1 is an error, never a stand-in for a default
+_COUNT_FLAGS = {"n": "--n", "m": "--m", "trials": "--trials", "pairs": "--pairs",
+                "grid": "--grid", "max_iter": "--max-iter", "p": "--p", "p_values": "--p"}
+
+
+def _check_counts(args):
+    for dest, flag in _COUNT_FLAGS.items():
+        value = getattr(args, dest, None)
+        for v in value if isinstance(value, tuple) else (value,):
+            if isinstance(v, int) and v < 1:
+                raise ValueError(f"{flag} must be >= 1, got {v}")
 
 
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_counts(args)
         if args.command == "gen":
             return _cmd_gen(args)
         if args.command == "solve":

@@ -11,7 +11,7 @@ import numpy as np
 
 from .errors import FDInconsistent, MissingGroundTruth
 from .numerics import qr_projector, solve_from_qr
-from .phase_retrieval import ap_iterate, project_modulus, wf_loss
+from .phase_retrieval import WF_STEP_SCALE, ap_iterate, project_modulus, wf_loss
 from .problems import dist_mod_phase
 
 
@@ -123,7 +123,7 @@ def displacement_probe(algorithm, instance, d, pairs, rng):
     z is uniform on the unit sphere; z' = normalize(z + d w) for a random unit
     tangent direction w, rescaled along the chord so that ||z - z'|| = d
     exactly.  T is one alternating-projections step mapped to signal space or
-    one Wirtinger Flow step with mu = 0.1 / mean(b^2).  The instance is
+    one Wirtinger Flow step with mu = WF_STEP_SCALE / mean(b^2).  The instance is
     rescaled so the ground-truth signal has unit norm, putting the probe
     sphere at the scale where the dynamics live.
     """
@@ -153,7 +153,7 @@ def displacement_probe(algorithm, instance, d, pairs, rng):
             return solve_from_qr(q, r, project_modulus(B @ X, b[:, None]))
 
     elif algorithm == "WF":
-        mu = 0.1 / float(np.mean(b ** 2))
+        mu = WF_STEP_SCALE / float(np.mean(b ** 2))
 
         def T(X):
             Y = B @ X
@@ -167,15 +167,15 @@ def displacement_probe(algorithm, instance, d, pairs, rng):
     return float(disp.mean())
 
 
-def basin_map(instance, center, dirs, half_width, grid,
-              max_iter=2000, tol=1e-10, merge_scale=1e-4):
+def basin_map(instance, center, dirs, half_width, grid, max_iter=2000):
     """Attraction-basin labels of alternating projections on an affine 2-plane.
 
     Each grid point p (the plane center + span(dirs) restricted to the square
-    of the given half width) starts one run at y0 = B p; limits are clustered
-    by pairwise distance modulo phase with merge radius merge_scale *
-    ||x_true||.  Label 0 is reserved for the cluster containing the solution;
-    the other clusters are numbered in order of first appearance.
+    of the given half width) starts one run at y0 = B p, stopped at a
+    relative change of 1e-10; limits are clustered by pairwise distance
+    modulo phase with merge radius 1e-4 ||x_true||.  Label 0 is reserved for
+    the cluster containing the solution; the other clusters are numbered in
+    order of first appearance.
 
     Returns an integer (grid x grid) label array, rows indexing dirs[0].
     """
@@ -195,9 +195,9 @@ def basin_map(instance, center, dirs, half_width, grid,
     K = P.shape[1]
 
     Y0 = q @ (q.T @ (B @ P))  # start in-range: y0 = projection of B p
-    X = solve_from_qr(q, r, ap_iterate(q, b, Y0, max_iter, tol)[0])
+    X = solve_from_qr(q, r, ap_iterate(q, b, Y0, max_iter, 1e-10)[0])
 
-    radius = merge_scale * float(np.linalg.norm(instance.x_true))
+    radius = 1e-4 * float(np.linalg.norm(instance.x_true))
     reps = []
     labels = np.empty(K, dtype=int)
     for j in range(K):

@@ -73,42 +73,17 @@ def torus_project(z):
     return np.divide(z, a, out=np.ones_like(z, dtype=np.result_type(z, 1.0)), where=a > 0)
 
 
-def _shifted_power(H, shift, sign, v0, tol, max_iter):
-    """Power iteration on sign*H + shift*I (shift >= spectral radius).
+def dominant_eigenvector(H, tol=1e-10, max_iter=20000, rng=None):
+    """Top eigenpair of a Hermitian matrix.
 
-    Returns (eigenvalue of H, vector, residual, converged).  The residual of
-    the shifted operator equals ||Hv - lam v||, so the tolerance check is the
-    caller-facing contract tol*(1+|lam|) on the original matrix.
-    """
-    v = v0 / np.linalg.norm(v0)
-    lam = 0.0
-    res = np.inf
-    for _ in range(max_iter):
-        w = sign * (H @ v) + shift * v
-        lam_s = float(np.real(np.vdot(v, w)))
-        lam = sign * (lam_s - shift)
-        res = float(np.linalg.norm(w - lam_s * v))
-        if res <= tol * (1.0 + abs(lam)):
-            return lam, v, res, True
-        nw = np.linalg.norm(w)
-        if nw == 0.0:
-            # v is in the kernel of the shifted operator, an exact eigenvector
-            return sign * (0.0 - shift), v, 0.0, True
-        v = w / nw
-    return lam, v, res, False
-
-
-def dominant_eigenvector(H, tol=1e-10, max_iter=20000, rng=None, assume_top=False):
-    """Eigenpair of largest absolute eigenvalue of a Hermitian matrix.
-
-    Power iteration on the positively shifted matrix H + sI finds the top
-    algebraic eigenvalue; a second run on sI - H finds the bottom one; the
-    pair with the larger |eigenvalue| wins.  For matrices whose top algebraic
-    eigenvalue is known to dominate in modulus (z z* + W observations,
-    moduli-weighted covariances) pass assume_top=True to skip the second run.
+    Power iteration on the positively shifted matrix H + sI, with s >= the
+    spectral radius, so the iteration finds the top algebraic eigenvalue
+    whatever the sign of the others.  Every caller's matrix (z z* + W
+    observations, moduli-weighted covariances) has its top eigenvalue
+    dominant in modulus.
 
     Returns (eigenvalue, unit vector) with ||Hv - lam v|| <= tol*(1+|lam|).
-    Raises NonConvergence if the winning side missed the tolerance.
+    Raises NonConvergence if the tolerance is missed after max_iter steps.
     """
     H = np.asarray(H)
     n = H.shape[0]
@@ -120,22 +95,21 @@ def dominant_eigenvector(H, tol=1e-10, max_iter=20000, rng=None, assume_top=Fals
         rng = RngStream(0x5EED)
     field = "real" if np.isrealobj(H) else "complex"
     v0 = sample_gaussian(rng, n, field)
-
+    v = v0 / np.linalg.norm(v0)
     shift = float(np.abs(H).sum(axis=1).max())  # >= spectral radius
-    if shift == 0.0:
-        v = v0 / np.linalg.norm(v0)
-        return 0.0, v
-
-    lam, v, res, ok = _shifted_power(H, shift, +1, v0, tol, max_iter)
-    if not assume_top:
-        lam_lo, v_lo, res_lo, ok_lo = _shifted_power(H, shift, -1, v0, tol, max_iter)
-        if abs(lam_lo) > abs(lam):
-            lam, v, res, ok = lam_lo, v_lo, res_lo, ok_lo
-    if not ok:
-        raise NonConvergence(
-            f"power iteration residual {res:.3e} above tol after {max_iter} iterations"
-        )
-    return lam, v
+    res = np.inf
+    for _ in range(max_iter):
+        # the residual of the shifted operator equals ||Hv - lam v||
+        w = H @ v + shift * v
+        lam_s = float(np.real(np.vdot(v, w)))
+        lam = lam_s - shift
+        res = float(np.linalg.norm(w - lam_s * v))
+        if res <= tol * (1.0 + abs(lam)):
+            return lam, v
+        v = w / np.linalg.norm(w)
+    raise NonConvergence(
+        f"power iteration residual {res:.3e} above tol after {max_iter} iterations"
+    )
 
 
 def hermitian_eigen(H):

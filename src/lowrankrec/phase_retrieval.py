@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .numerics import (RngStream, dominant_eigenvector, hermitize, qr_projector, sample_gaussian,
@@ -12,16 +10,8 @@ from .problems import SolveReport, rel_error_mod_phase
 
 _SPECTRAL_SEED = 0x1A57  # fixed internal stream: solvers are deterministic given the instance
 
-
-@dataclass
-class WFConfig:
-    step_scale: float = 0.1
-    max_iter: int = 5000
-    grad_tol: float = 1e-9
-
-    def __post_init__(self):
-        if self.step_scale <= 0 or self.grad_tol <= 0:
-            raise ValueError("step_scale and grad_tol must be positive")
+# Wirtinger Flow's first step is WF_STEP_SCALE / mean(b^2)
+WF_STEP_SCALE = 0.1
 
 
 def project_modulus(y, b):
@@ -74,14 +64,14 @@ def ap_iterate(q, b, Y, max_iter, tol, trace=False):
     return out, iterations, converged, residuals
 
 
-def alternating_projections(instance, rng=None, max_iter=2000, tol=1e-9, y0=None):
+def alternating_projections(instance, rng=None, max_iter=2000, y0=None):
     """Gerchberg-Saxton iteration y <- P_range(P_moduli(y)), see ap_iterate.
 
     Starts from a Gaussian y0 in measurement space unless one is supplied.
     The range projection is applied through a thin QR of the measurement
     matrix, which equals B @ least_squares(B, .) for full-column-rank B.
     residual_trace records || |y_t| - b || at the in-range iterates, which is
-    non-increasing.  Stops when the relative iterate change drops below tol.
+    non-increasing.  Stops when the relative iterate change drops below 1e-9.
     """
     q, r = qr_projector(instance.matrix)
     if y0 is None:
@@ -89,7 +79,7 @@ def alternating_projections(instance, rng=None, max_iter=2000, tol=1e-9, y0=None
             rng = RngStream(0)
         y0 = sample_gaussian(rng, instance.m, instance.field)
     Y, iterations, converged, residuals = ap_iterate(
-        q, instance.moduli, np.asarray(y0)[:, None], max_iter, tol, trace=True)
+        q, instance.moduli, np.asarray(y0)[:, None], max_iter, 1e-9, trace=True)
     x = solve_from_qr(q, r, Y[:, 0])
     err = None
     if instance.x_true is not None:
@@ -132,33 +122,29 @@ def wf_spectral_init(instance):
     """Dominant eigenvector of the weighted covariance, scaled to norm sqrt(mean b^2)."""
     M = wf_weight_matrix(instance)
     lam_hat = float(np.sqrt(np.mean(instance.moduli ** 2)))
-    _, v = dominant_eigenvector(
-        M, tol=1e-11, max_iter=100_000, rng=RngStream(_SPECTRAL_SEED), assume_top=True
-    )
+    _, v = dominant_eigenvector(M, tol=1e-11, max_iter=100_000, rng=RngStream(_SPECTRAL_SEED))
     return v * lam_hat
 
 
-def wirtinger_flow(instance, config=None, x0=None):
+def wirtinger_flow(instance, max_iter=5000, x0=None):
     """Gradient descent on the quartic loss from the spectral initializer.
 
-    The step is step_scale / mean(b^2); it halves whenever the loss would
+    The step is WF_STEP_SCALE / mean(b^2); it halves whenever the loss would
     increase (and the reduced step is kept), so the objective trace is
-    non-increasing.  Stops when ||grad|| < grad_tol * mean(b^2)^(3/2), after
-    60 halvings that do not reduce the loss, or at max_iter.
+    non-increasing.  Stops when ||grad|| < 1e-9 * mean(b^2)^(3/2), after 60
+    halvings that do not reduce the loss, or at max_iter.
     """
-    if config is None:
-        config = WFConfig()
     b = instance.moduli
     lam2 = float(np.mean(b ** 2))
-    mu = config.step_scale / max(lam2, 1e-300)
-    grad_threshold = config.grad_tol * lam2 ** 1.5
+    mu = WF_STEP_SCALE / max(lam2, 1e-300)
+    grad_threshold = 1e-9 * lam2 ** 1.5
     x = wf_spectral_init(instance) if x0 is None else np.asarray(x0)
     f = wf_loss(instance, x)
     residuals = [float(np.linalg.norm(np.abs(instance.matrix @ x) - b))]
     objectives = [f]
     converged = False
     iterations = 0
-    for _ in range(config.max_iter):
+    for _ in range(max_iter):
         g = wf_grad(instance, x)
         gn = float(np.linalg.norm(g))
         if gn < grad_threshold:

@@ -36,10 +36,7 @@ def _quadratic_form(z, Cz):
 
 
 def _principal_vector(C):
-    _, v = dominant_eigenvector(
-        C, tol=1e-10, max_iter=50_000, rng=RngStream(_INIT_SEED), assume_top=True
-    )
-    return v
+    return dominant_eigenvector(C, tol=1e-10, max_iter=50_000, rng=RngStream(_INIT_SEED))[1]
 
 
 def gpm(instance, max_iter=1000, tol=None):

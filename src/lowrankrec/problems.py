@@ -25,39 +25,23 @@ ENSEMBLE_KINDS = ("complex-gaussian", "real-gaussian", "structured-frame")
 
 
 @dataclass(frozen=True)
-class MeasurementEnsemble:
-    """Measurement matrix B whose k-th row pairs against the signal: (Bx)_k = <x, v_k>."""
-
-    kind: str
-    matrix: np.ndarray  # m x n
-
-    @property
-    def m(self):
-        return self.matrix.shape[0]
-
-    @property
-    def n(self):
-        return self.matrix.shape[1]
-
-
-@dataclass(frozen=True)
 class PhaseRetrievalInstance:
-    ensemble: MeasurementEnsemble
+    """Moduli b_k = |(Bx)_k| of a measurement matrix B whose k-th row pairs
+    against the signal: (Bx)_k = <x, v_k>."""
+
+    kind: str                     # measurement ensemble, one of ENSEMBLE_KINDS
+    matrix: np.ndarray            # B, m x n
     moduli: np.ndarray            # b >= 0, length m
     x_true: np.ndarray | None     # ground-truth signal, optional
     field: str                    # "real" | "complex"
 
     @property
-    def matrix(self):
-        return self.ensemble.matrix
-
-    @property
     def n(self):
-        return self.ensemble.n
+        return self.matrix.shape[1]
 
     @property
     def m(self):
-        return self.ensemble.m
+        return self.matrix.shape[0]
 
 
 @dataclass(frozen=True)
@@ -135,7 +119,7 @@ def gen_phase_retrieval(n, m, kind="complex-gaussian", rng=None):
         B = haar_frame(n, m)
     x_true = sample_gaussian(rng, n, field)
     b = np.abs(B @ x_true)
-    return PhaseRetrievalInstance(MeasurementEnsemble(kind, B), b, x_true, field)
+    return PhaseRetrievalInstance(kind, B, b, x_true, field)
 
 
 def gen_sync(n, sigma, rng=None):
@@ -209,7 +193,7 @@ def instance_to_dict(instance):
     if isinstance(instance, PhaseRetrievalInstance):
         return {
             "type": "phase_retrieval",
-            "kind": instance.ensemble.kind,
+            "kind": instance.kind,
             "field": instance.field,
             "n": instance.n,
             "m": instance.m,
@@ -264,6 +248,28 @@ def _choice(d, key, allowed):
     return v
 
 
+# tolerance of the structure checks; every generated instance meets them exactly
+_STRUCTURE_TOL = 1e-12
+
+
+def _require(deviation, key, what):
+    """Raise a ValueError naming the field when deviation exceeds the tolerance."""
+    if deviation > _STRUCTURE_TOL:
+        raise ValueError(f"instance field {key!r} must {what} (off by {deviation:.3e})")
+
+
+def _hermitian(d, key, n, diagonal):
+    a = _array(d, key, (n, n))
+    _require(np.abs(a - a.conj().T).max(), key, "be Hermitian")
+    _require(np.abs(np.diagonal(a) - diagonal).max(), key, f"have diagonal {diagonal}")
+    return a
+
+
+def _real(a, key):
+    _require(np.abs(a.imag).max(), key, "have zero imaginary parts in a real-field instance")
+    return a.real
+
+
 def instance_from_dict(d):
     """Decode an instance dict; a missing or malformed field raises ValueError naming it."""
     if not isinstance(d, dict):
@@ -276,16 +282,16 @@ def instance_from_dict(d):
         B = _array(d, "matrix", (m, n))
         x = None if d.get("signal") is None else _array(d, "signal", (n,))
         if field == "real":
-            B = B.real
-            x = None if x is None else x.real
-        ensemble = MeasurementEnsemble(_choice(d, "kind", ENSEMBLE_KINDS), B)
-        return PhaseRetrievalInstance(ensemble, _array(d, "moduli", (m,), pairs=False), x, field)
-    return SyncInstance(
-        _array(d, "observations", (n, n)),
-        _array(d, "truth", (n,)),
-        float(_array(d, "sigma", (), pairs=False)),
-        _array(d, "noise", (n, n)),
-    )
+            B = _real(B, "matrix")
+            x = None if x is None else _real(x, "signal")
+        b = _array(d, "moduli", (m,), pairs=False)
+        _require(-b.min(), "moduli", "be nonnegative")
+        return PhaseRetrievalInstance(_choice(d, "kind", ENSEMBLE_KINDS), B, b, x, field)
+    C = _hermitian(d, "observations", n, 1.0)
+    z = _array(d, "truth", (n,))
+    _require(np.abs(np.abs(z) - 1.0).max(), "truth", "have unit-modulus entries")
+    sigma = float(_array(d, "sigma", (), pairs=False))
+    return SyncInstance(C, z, sigma, _hermitian(d, "noise", n, 0.0))
 
 
 def save_instance(instance, path):

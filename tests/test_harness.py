@@ -183,6 +183,33 @@ class TestCLI:
         assert main(args + ["--out", str(b)]) == 0
         assert read(a) == read(b)
 
+    def test_bench_adds_no_defaults(self, tmp_path):
+        # an omitted flag leaves its ExperimentConfig field at the config's default
+        a, b = tmp_path / "cli.csv", tmp_path / "config.csv"
+        assert main(["bench", "fig3", "--n", "40", "--d-grid", "0.01", "--out", str(a)]) == 0
+        run_fig3(ExperimentConfig("fig3", n=40, d_grid=(0.01,), out=str(b)))
+        assert read(a) == read(b)
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["bench", "fig1", "--n", "0", "--mn-grid", "3", "--trials", "1"], "--n"),
+        (["bench", "fig1", "--n", "8", "--mn-grid", "3", "--trials", "0"], "--trials"),
+        (["bench", "fig1", "--n", "8", "--mn-grid", "3", "--trials", "-2"], "--trials"),
+        (["bench", "fig3", "--n", "8", "--d-grid", "0.01", "--pairs", "0"], "--pairs"),
+        (["bench", "basin", "--n", "4", "--grid", "0"], "--grid"),
+        (["bench", "sync", "--n", "10", "--sigma", "0", "--max-iter", "0"], "--max-iter"),
+        (["bench", "fig5", "--n", "8", "--mn-grid", "3", "--trials", "1", "--p", "0,ref"], "--p"),
+        (["solve", "ap", "--max-iter", "0"], "--max-iter"),
+    ], ids=["fig1-n", "fig1-trials-zero", "fig1-trials-negative", "fig3-pairs", "basin-grid",
+            "sync-max-iter", "fig5-p", "solve-max-iter"])
+    def test_count_below_one_exit_code(self, tmp_path, capsys, argv, flag):
+        # a count flag below 1 is rejected, never read as the default
+        inst_path, csv_path = tmp_path / "inst.json", tmp_path / "x.csv"
+        main(["gen", "pr", "--n", "8", "--m", "48", "--out", str(inst_path)])
+        io = ["--in", str(inst_path)] if argv[0] == "solve" else ["--out", str(csv_path)]
+        assert main(argv + io) == 2
+        assert f"{flag} must be >= 1" in capsys.readouterr().err
+        assert not csv_path.exists()
+
     def test_config_error_exit_code(self, tmp_path):
         # gen pr without --m is a configuration error
         rc = main(["gen", "pr", "--n", "8", "--out", str(tmp_path / "x.json")])

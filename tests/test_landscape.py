@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -150,7 +152,7 @@ class TestCurvatureProbe:
 
     def test_requires_truth(self):
         inst = gen_phase_retrieval(4, 12, "complex-gaussian", RngStream(25))
-        blind = type(inst)(inst.ensemble, inst.moduli, None, inst.field)
+        blind = dataclasses.replace(inst, x_true=None)
         with pytest.raises(MissingGroundTruth):
             curvature_probe(blind, np.zeros(4, dtype=complex))
 

@@ -156,7 +156,7 @@ class TestSerialization:
         assert np.array_equal(back.matrix, inst.matrix)
         assert np.array_equal(back.moduli, inst.moduli)
         assert np.array_equal(back.x_true, inst.x_true)
-        assert back.field == inst.field and back.ensemble.kind == inst.ensemble.kind
+        assert back.field == inst.field and back.kind == inst.kind
 
     def test_real_field_roundtrip(self):
         inst = gen_phase_retrieval(4, 9, "real-gaussian", RngStream(32))
@@ -178,6 +178,16 @@ class TestSerialization:
         (lambda d: d["observations"][2][3].__setitem__(1, float("inf")), "observations"),
         (lambda d: d.__setitem__("sigma", float("nan")), "sigma"),
         (lambda d: d.__setitem__("n", 6.0), "n"),
+        pytest.param(lambda d: d["observations"][0][1].__setitem__(1, 5.0), "observations",
+                     id="observations-not-hermitian"),
+        pytest.param(lambda d: d["observations"][2][2].__setitem__(0, 1.5), "observations",
+                     id="observations-diagonal"),
+        pytest.param(lambda d: d["noise"][1][3].__setitem__(0, 9.0), "noise",
+                     id="noise-not-hermitian"),
+        pytest.param(lambda d: d["noise"][4][4].__setitem__(0, 0.5), "noise",
+                     id="noise-diagonal"),
+        pytest.param(lambda d: d["truth"].__setitem__(0, [3.0, 0.0]), "truth",
+                     id="truth-modulus"),
     ])
     def test_malformed_sync_rejected(self, edit, field):
         d = instance_to_dict(gen_sync(7, 0.8, RngStream(34)))
@@ -190,6 +200,13 @@ class TestSerialization:
         (lambda d: d["moduli"].__setitem__(0, float("nan")), "moduli"),
         (lambda d: d.__setitem__("field", "quaternion"), "field"),
         (lambda d: d.__setitem__("signal", [[1.0, 0.0]]), "signal"),
+        pytest.param(lambda d: d["moduli"].__setitem__(0, -1.0), "moduli",
+                     id="moduli-negative"),
+        pytest.param(lambda d: d.__setitem__("field", "real"), "matrix",
+                     id="matrix-complex-in-real-field"),
+        pytest.param(lambda d: d.update(field="real", matrix=[[[re, 0.0] for re, _ in row]
+                                                              for row in d["matrix"]]),
+                     "signal", id="signal-complex-in-real-field"),
     ])
     def test_malformed_phase_retrieval_rejected(self, edit, field):
         d = instance_to_dict(gen_phase_retrieval(5, 12, "complex-gaussian", RngStream(35)))
@@ -218,7 +235,7 @@ class TestSerializationProperties:
     def test_phase_retrieval_roundtrip_through_json(self, kind, n, m, seed):
         inst = gen_phase_retrieval(n, m, kind, RngStream(seed))
         back = instance_from_dict(json.loads(json.dumps(instance_to_dict(inst))))
-        assert back.ensemble.kind == kind and back.field == inst.field
+        assert back.kind == kind and back.field == inst.field
         assert np.iscomplexobj(back.matrix) == np.iscomplexobj(inst.matrix)
         assert np.array_equal(back.matrix, inst.matrix)
         assert np.array_equal(back.moduli, inst.moduli)
