@@ -69,6 +69,6 @@ from .burer_monteiro import (
     sosp_probe,
     sync_cost,
 )
-from .harness import ExperimentConfig, run_basin, run_fig1, run_fig3, run_fig5, run_sync
+from .harness import run_basin, run_fig1, run_fig3, run_fig5, run_sync
 
 __all__ = [n for n in dir() if not n.startswith("_")]

@@ -8,6 +8,7 @@ Exit codes: 0 success, 2 configuration error, 3 numeric failure.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import sys
 
@@ -15,7 +16,7 @@ import numpy as np
 
 from .burer_monteiro import phasecut_cost, riemannian_gd, riemannian_grad, round_factor, sync_cost
 from .errors import LowRankRecError
-from .harness import RUNNERS, ExperimentConfig
+from .harness import RUNNERS, _check_counts, _flag
 from .numerics import RngStream
 from .phase_retrieval import alternating_projections, wirtinger_flow
 from .phase_sync import gpm
@@ -73,11 +74,11 @@ def build_parser():
     p_solve.add_argument("--max-iter", type=int, default=None)
     p_solve.add_argument("--out", help="write the JSON report here instead of stdout")
 
-    # every bench dest is an ExperimentConfig field, and an omitted flag
-    # leaves the field unset, so the config and its runner hold the defaults
+    # every bench dest is a runner parameter, and an omitted flag is not
+    # passed, so the runner's signature holds the figure's defaults
     p_bench = sub.add_parser("bench", help="reproduce a figure as CSV",
                              argument_default=argparse.SUPPRESS)
-    p_bench.add_argument("experiment", metavar="figure", choices=tuple(RUNNERS))
+    p_bench.add_argument("figure", choices=tuple(RUNNERS))
     p_bench.add_argument("--n", type=int)
     p_bench.add_argument("--m", type=int)
     p_bench.add_argument("--mn-grid", type=_parse_grid)
@@ -102,6 +103,7 @@ def build_parser():
 
 
 def _cmd_gen(args):
+    _check_counts(n=args.n, m=args.m)
     rng = RngStream(args.seed)
     if args.what == "pr":
         if args.m is None:
@@ -124,6 +126,7 @@ def _report_dict(report):
 
 
 def _cmd_solve(args):
+    _check_counts(max_iter=args.max_iter, p=args.p, tau=args.tau)
     inst = load_instance(args.infile)
     rng = RngStream(args.seed)
     # without --max-iter each solver keeps its own cap
@@ -132,6 +135,8 @@ def _cmd_solve(args):
         if not isinstance(inst, PhaseRetrievalInstance):
             raise ValueError(f"{args.solver} expects a phase retrieval instance")
         if args.solver == "ap":
+            if inst.m < inst.n:
+                raise ValueError(f"ap needs m >= n measurements, got m={inst.m}, n={inst.n}")
             report = alternating_projections(inst, rng, **cap)
         else:
             report = wirtinger_flow(inst, **cap)
@@ -169,29 +174,19 @@ def _cmd_solve(args):
 
 
 def _cmd_bench(args):
-    config = ExperimentConfig(**{k: v for k, v in vars(args).items() if k != "command"})
-    RUNNERS[config.experiment](config)
+    runner = RUNNERS[args.figure]
+    settings = {k: v for k, v in vars(args).items() if k not in ("command", "figure")}
+    unread = [_flag(k) for k in settings if k not in inspect.signature(runner).parameters]
+    if unread:
+        raise ValueError(f"bench {args.figure} does not read {', '.join(unread)}")
+    runner(**settings)
     return 0
-
-
-# count flags by dest; a value below 1 is an error, never a stand-in for a default
-_COUNT_FLAGS = {"n": "--n", "m": "--m", "trials": "--trials", "pairs": "--pairs",
-                "grid": "--grid", "max_iter": "--max-iter", "p": "--p", "p_values": "--p"}
-
-
-def _check_counts(args):
-    for dest, flag in _COUNT_FLAGS.items():
-        value = getattr(args, dest, None)
-        for v in value if isinstance(value, tuple) else (value,):
-            if isinstance(v, int) and v < 1:
-                raise ValueError(f"{flag} must be >= 1, got {v}")
 
 
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _check_counts(args)
         if args.command == "gen":
             return _cmd_gen(args)
         if args.command == "solve":

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,12 +23,7 @@ from .landscape import basin_map, displacement_probe
 from .numerics import RngStream, sample_gaussian
 from .phase_retrieval import alternating_projections
 from .phase_sync import gpm, loo_run
-from .problems import gen_phase_retrieval, gen_sync, rel_error_mod_phase
-
-FIG1_MN_GRID = (2.0, 2.5, 3.0, 3.5, 4.0, 4.5, 5.0, 5.5, 6.0, 6.5, 7.0, 7.5)
-FIG3_D_GRID = (0.0025, 0.01, 0.025, 0.05, 0.075, 0.1)
-FIG5_MN_GRID = (0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0)
-SYNC_SIGMA_GRID = (0.0, 0.1, 0.2, 0.3, 0.5)
+from .problems import ENSEMBLE_KINDS, gen_phase_retrieval, gen_sync, rel_error_mod_phase
 
 # experiment tags for stream splitting
 _TAG_FIG1, _TAG_BASIN, _TAG_FIG3, _TAG_SYNC, _TAG_FIG5 = 1, 2, 3, 4, 5
@@ -37,29 +31,30 @@ _TAG_FIG1, _TAG_BASIN, _TAG_FIG3, _TAG_SYNC, _TAG_FIG5 = 1, 2, 3, 4, 5
 # CSV header of the fig1 and fig5 success curves
 SUCCESS_HEADER = ("algorithm", "n", "m", "trials", "successes", "success_rate", "seed")
 
+# the `bench` flags not spelled --<parameter name with dashes>
+_FLAGS = {"sigma_grid": "--sigma", "p_values": "--p", "ensembles": "--ensemble"}
 
-@dataclass
-class ExperimentConfig:
-    """Fully determines a benchmark run: identical config => identical CSV bytes."""
 
-    experiment: str
-    seed: int = 0
-    n: int | None = None
-    m: int | None = None            # fig3 and basin only
-    mn_grid: tuple = ()
-    sigma_grid: tuple = ()          # fractions of sqrt(n / log n)
-    d_grid: tuple = ()
-    trials: int = 0
-    algos: tuple = ()
-    p_values: tuple = ()            # ints or "ref"
-    ensembles: tuple = ()
-    tau: float = 1e-3
-    pairs: int = 1000
-    grid: int = 101
-    half_width: float | None = None
-    max_iter: int | None = None
-    loo: bool = False
-    out: str | None = None
+def _flag(name):
+    return _FLAGS.get(name, "--" + name.replace("_", "-"))
+
+
+def _check_counts(**counts):
+    """Reject a count below 1, or a tau or half_width not above 0, naming its flag.
+
+    A tuple is checked entry by entry; None (a derived default) and "ref" pass.
+    """
+    for name, value in counts.items():
+        real = name in ("tau", "half_width")
+        for v in value if isinstance(value, (tuple, list)) else (value,):
+            if v is not None and v != "ref" and not (v > 0 if real else v >= 1):
+                raise ValueError(f"{_flag(name)} must be {'> 0' if real else '>= 1'}, got {v}")
+
+
+def _check_names(name, values, allowed):
+    for v in values:
+        if v not in allowed:
+            raise ValueError(f"{_flag(name)}: unknown name {v!r}, expected one of {allowed}")
 
 
 def _fmt(v):
@@ -82,7 +77,10 @@ def write_csv(path, header, rows):
 
 def _ap_trial(n, m, kind, rng, tau, max_iter):
     inst = gen_phase_retrieval(n, m, kind, rng.split(0))
-    rep = alternating_projections(inst, rng.split(1), max_iter=max_iter)
+    try:
+        rep = alternating_projections(inst, rng.split(1), max_iter=max_iter)
+    except RankDeficient:
+        return False
     return rep.rel_error_mod_phase < tau
 
 
@@ -97,52 +95,50 @@ def _phasecut_reference_trial(n, m, kind, rng, tau):
     return rel_error_mod_phase(x, inst.x_true, inst.field) < tau
 
 
-def run_fig1(config):
-    """Phase retrieval success curve over m/n at fixed n (default 40).
+def run_fig1(*, seed=0, n=40, mn_grid=(2.0, 2.5, 3.0, 3.5, 4.0, 4.5, 5.0, 5.5, 6.0, 6.5, 7.0, 7.5),
+             trials=200, algos=("ap",), tau=1e-3, max_iter=2000, out=None):
+    """Phase retrieval success curve over m/n at fixed n.
 
     Returns rows (algorithm, n, m, trials, successes, success_rate, seed).
     """
-    n = config.n or 40
-    grid = config.mn_grid or FIG1_MN_GRID
-    trials = config.trials or 200
-    algos = config.algos or ("ap",)
-    max_iter = config.max_iter or 2000
+    _check_counts(n=n, trials=trials, tau=tau, max_iter=max_iter)
+    _check_names("algos", algos, ("ap", "phasecut"))
     rows = []
     for algo in algos:
-        for gi, ratio in enumerate(grid):
+        for gi, ratio in enumerate(mn_grid):
             m = int(round(ratio * n))
             succ = 0
             for ti in range(trials):
-                rng = RngStream(config.seed, (_TAG_FIG1, gi, ti))
+                rng = RngStream(seed, (_TAG_FIG1, gi, ti))
                 if algo == "ap":
-                    ok = _ap_trial(n, m, "complex-gaussian", rng, config.tau, max_iter)
-                elif algo == "phasecut":
-                    ok = _phasecut_reference_trial(n, m, "complex-gaussian", rng, config.tau)
+                    ok = _ap_trial(n, m, "complex-gaussian", rng, tau, max_iter)
                 else:
-                    raise ValueError(f"unknown fig1 algorithm {algo!r}")
+                    ok = _phasecut_reference_trial(n, m, "complex-gaussian", rng, tau)
                 succ += bool(ok)
-            rows.append((algo, n, m, trials, succ, succ / trials, config.seed))
-    if config.out:
-        write_csv(config.out, SUCCESS_HEADER, rows)
+            rows.append((algo, n, m, trials, succ, succ / trials, seed))
+    if out:
+        write_csv(out, SUCCESS_HEADER, rows)
     return rows
 
 
-def run_fig3(config):
-    """One-step displacement means for AP and WF on a real Gaussian instance."""
-    n = config.n or 400
-    m = config.m if config.m is not None else 10 * n
-    d_grid = config.d_grid or FIG3_D_GRID
-    pairs = config.pairs
-    algos = config.algos or ("AP", "WF")
-    inst = gen_phase_retrieval(n, m, "real-gaussian", RngStream(config.seed, (_TAG_FIG3, 0)))
+def run_fig3(*, seed=0, n=400, m=None, d_grid=(0.0025, 0.01, 0.025, 0.05, 0.075, 0.1),
+             pairs=1000, algos=("AP", "WF"), out=None):
+    """One-step displacement means for AP and WF on a real Gaussian instance.
+
+    m defaults to 10n.
+    """
+    _check_counts(n=n, m=m, pairs=pairs)
+    _check_names("algos", algos, ("AP", "WF"))
+    m = 10 * n if m is None else m
+    inst = gen_phase_retrieval(n, m, "real-gaussian", RngStream(seed, (_TAG_FIG3, 0)))
     rows = []
     for ai, algo in enumerate(algos):
         for di, d in enumerate(d_grid):
-            rng = RngStream(config.seed, (_TAG_FIG3, 1 + ai, di))
+            rng = RngStream(seed, (_TAG_FIG3, 1 + ai, di))
             mean = displacement_probe(algo, inst, d, pairs, rng)
-            rows.append((algo, d, mean, pairs, config.seed))
-    if config.out:
-        write_csv(config.out, ("algorithm", "d", "mean_displacement", "pairs", "seed"), rows)
+            rows.append((algo, d, mean, pairs, seed))
+    if out:
+        write_csv(out, ("algorithm", "d", "mean_displacement", "pairs", "seed"), rows)
     return rows
 
 
@@ -158,45 +154,46 @@ def _bm_trial(inst, p, rng, tau, max_iter):
     return rel_error_mod_phase(x, inst.x_true, inst.field) < tau
 
 
-def run_fig5(config):
+def run_fig5(*, seed=0, n=32, mn_grid=(0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0), trials=20,
+             ensembles=("complex-gaussian", "structured-frame"), p_values=(1, 2, "ref"),
+             tau=1e-3, max_iter=6000, out=None):
     """Burer-Monteiro phase retrieval success curves per (ensemble, factor width).
 
     Returns rows in the fig1 layout, one per (ensemble, width, m/n).
     """
-    n = config.n or 32
-    grid = config.mn_grid or FIG5_MN_GRID
-    trials = config.trials or 20
-    kinds = config.ensembles or ("complex-gaussian", "structured-frame")
-    p_values = config.p_values or (1, 2, "ref")
-    max_iter = config.max_iter or 6000
+    _check_counts(n=n, trials=trials, p_values=p_values, tau=tau, max_iter=max_iter)
+    _check_names("ensembles", ensembles, ENSEMBLE_KINDS)
     rows = []
-    for ki, kind in enumerate(kinds):
+    for ki, kind in enumerate(ensembles):
         for pi, p in enumerate(p_values):
-            for gi, ratio in enumerate(grid):
+            for gi, ratio in enumerate(mn_grid):
                 m = int(round(ratio * n))
                 label = f"bm-p{p}/{kind}"
                 if m == 0:
                     # no measurements: recovery impossible, nothing to run
-                    rows.append((label, n, m, trials, 0, 0.0, config.seed))
+                    rows.append((label, n, m, trials, 0, 0.0, seed))
                     continue
                 p_eff = reference_rank(m) if p == "ref" else int(p)
                 succ = 0
                 for ti in range(trials):
-                    rng = RngStream(config.seed, (_TAG_FIG5, ki, gi, ti))
+                    rng = RngStream(seed, (_TAG_FIG5, ki, gi, ti))
                     inst = gen_phase_retrieval(n, m, kind, rng.split(0))
-                    ok = _bm_trial(inst, p_eff, rng.split(1 + pi), config.tau, max_iter)
+                    ok = _bm_trial(inst, p_eff, rng.split(1 + pi), tau, max_iter)
                     succ += bool(ok)
-                rows.append((label, n, m, trials, succ, succ / trials, config.seed))
-    if config.out:
-        write_csv(config.out, SUCCESS_HEADER, rows)
+                rows.append((label, n, m, trials, succ, succ / trials, seed))
+    if out:
+        write_csv(out, SUCCESS_HEADER, rows)
     return rows
 
 
-def run_basin(config):
-    """Attraction-basin label grid of alternating projections (real field)."""
-    n = config.n or 20
-    m = config.m if config.m is not None else 20 * n
-    rng = RngStream(config.seed, (_TAG_BASIN,))
+def run_basin(*, seed=0, n=20, m=None, grid=101, half_width=None, max_iter=2000, out=None):
+    """Attraction-basin label grid of alternating projections (real field).
+
+    m defaults to 20n and half_width to 6 ||x||.
+    """
+    _check_counts(n=n, m=m, grid=grid, half_width=half_width, max_iter=max_iter)
+    m = 20 * n if m is None else m
+    rng = RngStream(seed, (_TAG_BASIN,))
     inst = gen_phase_retrieval(n, m, "real-gaussian", rng.split(0))
     x = inst.x_true
     # orthonormal in-plane directions, deterministic from the stream
@@ -206,13 +203,12 @@ def run_basin(config):
     d2 = g2 - (d1 @ g2) * d1
     d2 /= np.linalg.norm(d2)
     # wide enough that competitor basins show up next to the solution's
-    hw = config.half_width if config.half_width is not None else 6.0 * float(np.linalg.norm(x))
-    labels = basin_map(inst, x, (d1, d2), hw, config.grid,
-                       max_iter=config.max_iter or 2000)
+    hw = 6.0 * float(np.linalg.norm(x)) if half_width is None else half_width
+    labels = basin_map(inst, x, (d1, d2), hw, grid, max_iter=max_iter)
     rows = [(i, j, int(labels[i, j]))
             for i in range(labels.shape[0]) for j in range(labels.shape[1])]
-    if config.out:
-        write_csv(config.out, ("row", "col", "label"), rows)
+    if out:
+        write_csv(out, ("row", "col", "label"), rows)
     return labels
 
 
@@ -237,38 +233,37 @@ def fit_geometric_rate(residuals, floor):
     return float(np.exp(slope)), r2
 
 
-def run_sync(config):
+def run_sync(*, seed=0, n=200, sigma_grid=(0.0, 0.1, 0.2, 0.3, 0.5), max_iter=1000,
+             loo=False, out=None):
     """GPM convergence summary per noise level, optional leave-one-out dumps.
 
     Noise levels are given as fractions of sqrt(n / log n).
     """
-    n = 200 if config.n is None else config.n
+    _check_counts(n=n, max_iter=max_iter)
     if n < 2:
         raise ValueError(f"sync needs n >= 2, got {n}")
-    fracs = config.sigma_grid or SYNC_SIGMA_GRID
-    max_iter = config.max_iter or 1000
     scale = math.sqrt(n / math.log(n))
     tol = 1e-10 * math.sqrt(n)
     rows = []
     loo_tables = []
-    for si, frac in enumerate(fracs):
+    for si, frac in enumerate(sigma_grid):
         sigma = frac * scale
-        rng = RngStream(config.seed, (_TAG_SYNC, si))
+        rng = RngStream(seed, (_TAG_SYNC, si))
         inst = gen_sync(n, sigma, rng)
         report, history = gpm(inst, max_iter=max_iter, tol=tol)
         rho, r2 = fit_geometric_rate(report.residual_trace, floor=10 * tol)
         rows.append((frac, sigma, n, report.iterations, report.converged,
-                     report.rel_error_mod_phase, rho, r2, config.seed))
-        if config.loo:
+                     report.rel_error_mod_phase, rho, r2, seed))
+        if loo:
             diag = loo_run(inst, history)
             loo_tables.append((si, diag))
-    if config.out:
-        write_csv(config.out,
+    if out:
+        write_csv(out,
                   ("sigma_frac", "sigma", "n", "iterations", "converged",
                    "rel_error", "rho_fit", "r2_fit", "seed"),
                   rows)
         for si, diag in loo_tables:
-            write_csv(f"{config.out}.loo{si}.csv",
+            write_csv(f"{out}.loo{si}.csv",
                       ("t", "max_dist_aux", "max_corr_main", "max_corr_aux"),
                       list(diag.rows()))
     return rows, loo_tables

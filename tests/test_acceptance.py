@@ -12,7 +12,6 @@ import numpy as np
 
 import lowrankrec.burer_monteiro as bm
 from lowrankrec.harness import (
-    ExperimentConfig,
     run_basin,
     run_fig1,
     run_fig3,
@@ -34,8 +33,7 @@ def report(criterion, ok, detail):
 
 def test_c01_fig1_alternating_projections_rates():
     targets = {2.0: 0.0, 3.0: 0.199, 4.0: 0.658, 5.0: 0.856, 6.0: 0.95, 7.5: 0.987}
-    cfg = ExperimentConfig("fig1", seed=SEED, n=40, mn_grid=tuple(targets), trials=200)
-    rows = run_fig1(cfg)
+    rows = run_fig1(seed=SEED, n=40, mn_grid=tuple(targets), trials=200)
     rates = {m / 40: rate for (_, _, m, _, _, rate, _) in rows}
     gaps = {k: abs(rates[k] - targets[k]) for k in targets}
     ok = all(g <= 0.10 for g in gaps.values())
@@ -44,12 +42,12 @@ def test_c01_fig1_alternating_projections_rates():
 
 
 def test_c02_fig5_burer_monteiro_rates():
-    gauss = run_fig5(ExperimentConfig(
-        "fig5", seed=SEED, n=32, mn_grid=(4.0, 5.0, 6.0, 7.0, 8.0), trials=20,
-        p_values=(1, 2), ensembles=("complex-gaussian",)))
-    structured = run_fig5(ExperimentConfig(
-        "fig5", seed=SEED, n=32, mn_grid=(5.0, 6.0, 7.0, 8.0), trials=20,
-        p_values=(1, 2), ensembles=("structured-frame",)))
+    gauss = run_fig5(
+        seed=SEED, n=32, mn_grid=(4.0, 5.0, 6.0, 7.0, 8.0), trials=20,
+        p_values=(1, 2), ensembles=("complex-gaussian",))
+    structured = run_fig5(
+        seed=SEED, n=32, mn_grid=(5.0, 6.0, 7.0, 8.0), trials=20,
+        p_values=(1, 2), ensembles=("structured-frame",))
 
     def rates(rows, p):
         return {m / 32: r for (alg, _, m, _, _, r, _) in rows
@@ -77,8 +75,8 @@ def test_c02_fig5_burer_monteiro_rates():
 
 def test_c03_fig3_displacement_curves():
     d_grid = (0.0025, 0.01, 0.025, 0.05, 0.075, 0.1)
-    rows = run_fig3(ExperimentConfig("fig3", seed=SEED, n=400, d_grid=d_grid,
-                                     pairs=1000, m=4000))
+    rows = run_fig3(seed=SEED, n=400, d_grid=d_grid,
+                    pairs=1000, m=4000)
     means = {(alg, d): v for (alg, d, v, _, _) in rows}
     wf_targets = {0.0025: 0.0017039957974030098, 0.05: 0.03406297986696872,
                   0.1: 0.06818228612076621}
@@ -251,9 +249,8 @@ def test_c10_benchmark_determinism(tmp_path):
         outs = []
         for tag in ("a", "b"):
             out = tmp_path / f"{name}-{tag}.csv"
-            cfg = ExperimentConfig(name, out=str(out), **kwargs)
             {"fig1": run_fig1, "fig3": run_fig3, "fig5": run_fig5,
-             "basin": run_basin, "sync": run_sync}[name](cfg)
+             "basin": run_basin, "sync": run_sync}[name](out=str(out), **kwargs)
             with open(out, "rb") as f:
                 outs.append(f.read())
         return outs[0] == outs[1]

@@ -1,4 +1,6 @@
+import argparse
 import importlib.util
+import inspect
 import json
 import math
 from pathlib import Path
@@ -7,10 +9,12 @@ import numpy as np
 import pytest
 
 import lowrankrec
-from lowrankrec.cli import main
+from lowrankrec import harness
+from lowrankrec.cli import build_parser, main
 from lowrankrec.harness import (
+    RUNNERS,
     SUCCESS_HEADER,
-    ExperimentConfig,
+    _flag,
     fit_geometric_rate,
     run_basin,
     run_fig1,
@@ -29,46 +33,46 @@ class TestCSVDeterminism:
     def test_fig1_byte_identical(self, tmp_path):
         out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
         for out in (out1, out2):
-            run_fig1(ExperimentConfig("fig1", seed=3, n=16, mn_grid=(3.0, 5.0),
-                                      trials=5, out=str(out)))
+            run_fig1(seed=3, n=16, mn_grid=(3.0, 5.0),
+                     trials=5, out=str(out))
         assert read(out1) == read(out2)
 
     def test_fig3_byte_identical(self, tmp_path):
         out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
         for out in (out1, out2):
-            run_fig3(ExperimentConfig("fig3", seed=3, n=40, d_grid=(0.01, 0.05),
-                                      pairs=20, m=400, out=str(out)))
+            run_fig3(seed=3, n=40, d_grid=(0.01, 0.05),
+                     pairs=20, m=400, out=str(out))
         assert read(out1) == read(out2)
 
     def test_sync_byte_identical(self, tmp_path):
         out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
         for out in (out1, out2):
-            run_sync(ExperimentConfig("sync", seed=4, n=40, sigma_grid=(0.0, 0.2),
-                                      out=str(out)))
+            run_sync(seed=4, n=40, sigma_grid=(0.0, 0.2),
+                     out=str(out))
         assert read(out1) == read(out2)
 
     def test_fig5_byte_identical(self, tmp_path):
         out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
         for out in (out1, out2):
-            run_fig5(ExperimentConfig("fig5", seed=5, n=8, mn_grid=(0.0, 3.0),
-                                      trials=3, p_values=(1,),
-                                      ensembles=("complex-gaussian",),
-                                      max_iter=2000, out=str(out)))
+            run_fig5(seed=5, n=8, mn_grid=(0.0, 3.0),
+                     trials=3, p_values=(1,),
+                     ensembles=("complex-gaussian",),
+                     max_iter=2000, out=str(out))
         assert read(out1) == read(out2)
 
     def test_basin_byte_identical(self, tmp_path):
         out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
         for out in (out1, out2):
-            run_basin(ExperimentConfig("basin", seed=6, n=8, grid=7,
-                                       m=80, max_iter=300, out=str(out)))
+            run_basin(seed=6, n=8, grid=7,
+                      m=80, max_iter=300, out=str(out))
         assert read(out1) == read(out2)
 
 
 class TestCSVShape:
     def test_fig1_header_and_rows(self, tmp_path):
         out = tmp_path / "f1.csv"
-        rows = run_fig1(ExperimentConfig("fig1", seed=1, n=12, mn_grid=(3.0, 4.0),
-                                         trials=4, out=str(out)))
+        rows = run_fig1(seed=1, n=12, mn_grid=(3.0, 4.0),
+                        trials=4, out=str(out))
         lines = read(out).decode().strip().split("\n")
         assert lines[0] == ",".join(SUCCESS_HEADER)
         assert len(lines) == 1 + 2
@@ -80,36 +84,36 @@ class TestCSVShape:
         out = tmp_path / "s.csv"
         n = 30
         huge = 10 * math.sqrt(n) / math.sqrt(n / math.log(n))  # sigma = 10 sqrt(n)
-        rows, _ = run_sync(ExperimentConfig("sync", seed=2, n=n, sigma_grid=(huge,),
-                                            max_iter=60, out=str(out)))
+        rows, _ = run_sync(seed=2, n=n, sigma_grid=(huge,),
+                           max_iter=60, out=str(out))
         lines = read(out).decode().strip().split("\n")
         assert len(lines) == 2
         assert rows[0][4] in (True, False)
 
     def test_sync_zero_noise_row(self, tmp_path):
-        rows, _ = run_sync(ExperimentConfig("sync", seed=2, n=40, sigma_grid=(0.0,)))
+        rows, _ = run_sync(seed=2, n=40, sigma_grid=(0.0,))
         frac, sigma, n, iters, converged, rel_err, rho, r2, seed = rows[0]
         assert converged and iters == 1 and rel_err < 1e-10
 
     def test_loo_dump(self, tmp_path):
         out = tmp_path / "s.csv"
-        run_sync(ExperimentConfig("sync", seed=2, n=30, sigma_grid=(0.1,),
-                                  loo=True, out=str(out)))
+        run_sync(seed=2, n=30, sigma_grid=(0.1,),
+                 loo=True, out=str(out))
         loo = read(str(out) + ".loo0.csv").decode().strip().split("\n")
         assert loo[0] == "t,max_dist_aux,max_corr_main,max_corr_aux"
         assert len(loo) >= 2
 
     def test_basin_labels(self):
-        labels = run_basin(ExperimentConfig("basin", seed=6, n=8, grid=9,
-                                            m=80, max_iter=400))
+        labels = run_basin(seed=6, n=8, grid=9,
+                           m=80, max_iter=400)
         assert labels.shape == (9, 9)
         assert labels[4, 4] == 0  # center of the plane is the ground truth
 
     def test_basin_full_size_shows_competing_basins(self):
         # the default benchmark setting: several basins appear but the
         # solution basin holds a strict majority of the grid
-        labels = run_basin(ExperimentConfig("basin", seed=0, n=20, grid=101,
-                                            m=400))
+        labels = run_basin(seed=0, n=20, grid=101,
+                           m=400)
         assert len(np.unique(labels)) >= 2
         assert np.mean(labels == 0) > 0.5
 
@@ -184,10 +188,10 @@ class TestCLI:
         assert read(a) == read(b)
 
     def test_bench_adds_no_defaults(self, tmp_path):
-        # an omitted flag leaves its ExperimentConfig field at the config's default
+        # an omitted flag is not passed, so the runner's default applies
         a, b = tmp_path / "cli.csv", tmp_path / "config.csv"
         assert main(["bench", "fig3", "--n", "40", "--d-grid", "0.01", "--out", str(a)]) == 0
-        run_fig3(ExperimentConfig("fig3", n=40, d_grid=(0.01,), out=str(b)))
+        run_fig3(n=40, d_grid=(0.01,), out=str(b))
         assert read(a) == read(b)
 
     @pytest.mark.parametrize("argv, flag", [
@@ -209,6 +213,73 @@ class TestCLI:
         assert main(argv + io) == 2
         assert f"{flag} must be >= 1" in capsys.readouterr().err
         assert not csv_path.exists()
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["fig1", "--n", "8", "--mn-grid", "3", "--trials", "1", "--tau", "-1"], "--tau"),
+        (["fig5", "--n", "8", "--mn-grid", "3", "--trials", "1", "--tau", "0"], "--tau"),
+        (["basin", "--n", "4", "--grid", "3", "--half-width", "0"], "--half-width"),
+        (["basin", "--n", "4", "--grid", "3", "--half-width", "-2"], "--half-width"),
+    ], ids=["fig1-tau-negative", "fig5-tau-zero", "basin-half-width-zero",
+            "basin-half-width-negative"])
+    def test_nonpositive_real_exit_code(self, tmp_path, capsys, argv, flag):
+        csv_path = tmp_path / "x.csv"
+        assert main(["bench", *argv, "--out", str(csv_path)]) == 2
+        assert f"{flag} must be > 0" in capsys.readouterr().err
+        assert not csv_path.exists()
+
+    def test_bench_unread_flag_exit_code(self, tmp_path, capsys):
+        # fig1 reads none of these: each is named as typed, nothing runs
+        csv_path = tmp_path / "x.csv"
+        assert main(["bench", "fig1", "--n", "8", "--mn-grid", "3", "--trials", "1",
+                     "--loo", "--pairs", "3", "--sigma", "0.1", "--out", str(csv_path)]) == 2
+        err = capsys.readouterr().err
+        assert all(flag in err for flag in ("--loo", "--pairs", "--sigma"))
+        assert not csv_path.exists()
+
+    @pytest.mark.parametrize("argv, trial", [
+        (["fig1", "--n", "8", "--mn-grid", "3", "--trials", "2", "--algos", "ap,xx"], "_ap_trial"),
+        (["fig3", "--n", "8", "--d-grid", "0.01", "--pairs", "2", "--algos", "AP,xx"],
+         "displacement_probe"),
+        (["fig5", "--n", "8", "--mn-grid", "3", "--trials", "1", "--p", "1",
+          "--ensemble", "complex-gaussian,foo"], "_bm_trial"),
+    ], ids=["fig1-algos", "fig3-algos", "fig5-ensemble"])
+    def test_unknown_name_fails_before_any_trial(self, tmp_path, monkeypatch, argv, trial):
+        calls = []
+        monkeypatch.setattr(harness, trial, lambda *a, **k: calls.append(a))
+        assert main(["bench", *argv, "--out", str(tmp_path / "x.csv")]) == 2
+        assert calls == []
+
+    def test_bench_flags_match_runner_parameters(self):
+        # every bench flag feeds some runner, and every runner parameter has a flag
+        sub = next(a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        flags = {a.dest: a.option_strings for a in sub.choices["bench"]._actions
+                 if a.option_strings and a.dest != "help"}
+        params = set().union(*(inspect.signature(r).parameters for r in RUNNERS.values()))
+        assert set(flags) == params
+        assert all(_flag(dest) in spellings for dest, spellings in flags.items())
+
+    def test_runner_rejects_bad_settings(self):
+        with pytest.raises(ValueError, match="--trials must be >= 1"):
+            run_fig1(n=8, mn_grid=(3.0,), trials=-2)
+        with pytest.raises(ValueError, match="--n must be >= 1"):
+            run_fig1(n=0, mn_grid=(3.0,), trials=1)
+        with pytest.raises(TypeError):
+            run_fig1(n=8, mn_grid=(3.0,), trials=1, pairs=3)
+
+    def test_fig1_ap_below_m_equals_n(self, tmp_path):
+        # m < n leaves the range projection rank deficient: a failed trial
+        out = tmp_path / "f1.csv"
+        assert main(["bench", "fig1", "--n", "8", "--mn-grid", "0.5,3", "--trials", "2",
+                     "--out", str(out)]) == 0
+        rows = [line.split(",") for line in read(out).decode().strip().split("\n")[1:]]
+        assert rows[0][2:5] == ["4", "2", "0"]
+
+    def test_solve_ap_undersampled_exit_code(self, tmp_path, capsys):
+        inst_path = tmp_path / "small.json"
+        main(["gen", "pr", "--n", "8", "--m", "4", "--seed", "1", "--out", str(inst_path)])
+        assert main(["solve", "ap", "--in", str(inst_path)]) == 2
+        assert "m=4, n=8" in capsys.readouterr().err
 
     def test_config_error_exit_code(self, tmp_path):
         # gen pr without --m is a configuration error
