@@ -39,7 +39,6 @@ from .phase_retrieval import (
     wirtinger_flow,
 )
 from .landscape import (
-    CriticalClass,
     basin_map,
     classify_critical,
     curvature_probe,

@@ -24,12 +24,18 @@ from .problems import SolveReport
 
 @dataclass(frozen=True)
 class UnitDiagSDP:
-    """min Tr(cost U) over Hermitian U >= 0 with unit diagonal (N constraints)."""
+    """min Tr(cost U) over Hermitian U >= 0 with unit diagonal (N constraints).
 
-    dim: int
+    A PhaseCut problem carries its phase retrieval instance, which its solver
+    and rounding read; every other problem has instance None.
+    """
+
     cost: np.ndarray
-    provenance: str = "raw"          # "phasecut" | "sync" | "raw"
-    instance: object = None          # originating problem instance, if any
+    instance: object = None
+
+    @property
+    def dim(self):
+        return self.cost.shape[0]
 
 
 @dataclass
@@ -42,7 +48,6 @@ class SOSPCertificate:
 
     riemannian_grad_norm: float
     min_quadform: float
-    trials: int
     factor_rank: int
 
 
@@ -59,12 +64,12 @@ def phasecut_cost(instance):
     proj = q @ q.conj().T
     A = np.eye(m, dtype=proj.dtype) - proj
     C = hermitize(b[:, None] * A * b[None, :])
-    return UnitDiagSDP(m, C, "phasecut", instance)
+    return UnitDiagSDP(C, instance)
 
 
 def sync_cost(instance):
     """Synchronization relaxation: minimize Tr(-C U) with unit diagonal."""
-    return UnitDiagSDP(instance.n, -instance.observations, "sync", instance)
+    return UnitDiagSDP(-instance.observations)
 
 
 def evaluate(C, V):
@@ -134,12 +139,12 @@ def opnorm_estimate(C):
 def riemannian_gd(problem, p, rng, max_iter=20000, v0=None):
     """Local descent on the factor, from rows uniform on the sphere (or v0).
 
-    PhaseCut costs (provenance "phasecut") are solved by Levenberg-Marquardt
-    on their variable-projected form, see _phasecut_lm; max_iter bounds its
-    steps.  Every other cost is solved by Riemannian gradient descent: the
-    first trial step is 1/(2 ||C||_op estimate), later trial steps use the
-    Barzilai-Borwein quotient <dV,dV>/<dV,dgrad> from the last accepted
-    move, and every step is safeguarded by the Armijo test
+    PhaseCut costs, the problems carrying their instance, are solved by
+    Levenberg-Marquardt on their variable-projected form, see _phasecut_lm;
+    max_iter bounds its steps.  Every other cost is solved by Riemannian
+    gradient descent: the first trial step is 1/(2 ||C||_op estimate), later
+    trial steps use the Barzilai-Borwein quotient <dV,dV>/<dV,dgrad> from
+    the last accepted move, and every step is safeguarded by the Armijo test
     f(V') <= f(V) - 1e-4 t ||grad||^2 with halving.  Along directions where
     the cost grows only at fourth order, as it does next to a rank-deficient
     optimum, this first-order method converges sublinearly.
@@ -162,9 +167,7 @@ def riemannian_gd(problem, p, rng, max_iter=20000, v0=None):
     threshold = 1e-10 * max(nrm, 1e-300) * N
     step0 = 0.5 / max(nrm, 1e-300)
     V = random_factor(rng, N, p) if v0 is None else np.asarray(v0)
-    if problem.provenance == "phasecut":
-        if problem.instance is None:
-            raise ValueError("phasecut solve needs the originating instance")
+    if problem.instance is not None:
         V, iterations, converged, trace = _phasecut_lm(problem, V, max_iter, threshold)
     else:
         V, iterations, converged, trace = _rgd(C, V, step0, max_iter, threshold)
@@ -353,10 +356,8 @@ def round_factor(problem, V):
     U, S, _ = np.linalg.svd(np.asarray(V), full_matrices=False)
     u = U[:, 0] * S[0]
     z = torus_project(u)
-    if problem.provenance == "phasecut":
-        inst = problem.instance
-        if inst is None:
-            raise ValueError("phasecut rounding needs the originating instance")
+    inst = problem.instance
+    if inst is not None:
         return least_squares(inst.matrix, inst.moduli * z)
     return z
 
@@ -409,7 +410,6 @@ def sosp_probe(problem, V, trials, rng):
     return SOSPCertificate(
         riemannian_grad_norm=gnorm,
         min_quadform=qmin,
-        trials=trials,
         factor_rank=rank,
     )
 

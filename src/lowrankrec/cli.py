@@ -16,11 +16,12 @@ import numpy as np
 
 from .burer_monteiro import phasecut_cost, riemannian_gd, riemannian_grad, round_factor, sync_cost
 from .errors import LowRankRecError
-from .harness import RUNNERS, _check_counts, _flag
+from .harness import RUNNERS, _check_counts, _check_sampled, _flag
 from .numerics import RngStream
 from .phase_retrieval import alternating_projections, wirtinger_flow
 from .phase_sync import gpm
 from .problems import (
+    ENSEMBLE_KINDS,
     PhaseRetrievalInstance,
     SyncInstance,
     gen_phase_retrieval,
@@ -59,8 +60,7 @@ def build_parser():
     p_gen.add_argument("what", choices=("pr", "sync"))
     p_gen.add_argument("--n", type=int, required=True)
     p_gen.add_argument("--m", type=int)
-    p_gen.add_argument("--ensemble", default="complex-gaussian",
-                       choices=("complex-gaussian", "real-gaussian", "structured-frame"))
+    p_gen.add_argument("--ensemble", default="complex-gaussian", choices=ENSEMBLE_KINDS)
     p_gen.add_argument("--sigma", type=float, default=0.0)
     p_gen.add_argument("--seed", type=int, default=0)
     p_gen.add_argument("--out", required=True)
@@ -135,8 +135,7 @@ def _cmd_solve(args):
         if not isinstance(inst, PhaseRetrievalInstance):
             raise ValueError(f"{args.solver} expects a phase retrieval instance")
         if args.solver == "ap":
-            if inst.m < inst.n:
-                raise ValueError(f"ap needs m >= n measurements, got m={inst.m}, n={inst.n}")
+            _check_sampled("ap", inst.m, inst.n)
             report = alternating_projections(inst, rng, **cap)
         else:
             report = wirtinger_flow(inst, **cap)

@@ -23,7 +23,7 @@ from .landscape import basin_map, displacement_probe
 from .numerics import RngStream, sample_gaussian
 from .phase_retrieval import alternating_projections
 from .phase_sync import gpm, loo_run
-from .problems import ENSEMBLE_KINDS, gen_phase_retrieval, gen_sync, rel_error_mod_phase
+from .problems import ENSEMBLE_KINDS, gen_phase_retrieval, gen_sync, haar_frame, rel_error_mod_phase
 
 # experiment tags for stream splitting
 _TAG_FIG1, _TAG_BASIN, _TAG_FIG3, _TAG_SYNC, _TAG_FIG5 = 1, 2, 3, 4, 5
@@ -51,10 +51,25 @@ def _check_counts(**counts):
                 raise ValueError(f"{_flag(name)} must be {'> 0' if real else '>= 1'}, got {v}")
 
 
-def _check_names(name, values, allowed):
+def _check_values(name, values, ok, need):
+    """Reject the first entry of values failing ok, naming its flag."""
     for v in values:
-        if v not in allowed:
-            raise ValueError(f"{_flag(name)}: unknown name {v!r}, expected one of {allowed}")
+        if not ok(v):
+            raise ValueError(f"{_flag(name)}: {need}, got {v!r}")
+
+
+def _check_names(name, values, allowed):
+    _check_values(name, values, allowed.__contains__, f"unknown name, expected one of {allowed}")
+
+
+def _check_ratios(mn_grid):
+    _check_values("mn_grid", mn_grid, lambda r: 0.0 <= r < math.inf, "m/n must be finite and >= 0")
+
+
+def _check_sampled(what, m, n):
+    """m < n leaves the range projection rank deficient: a configuration error."""
+    if m < n:
+        raise ValueError(f"{what} needs m >= n measurements, got m={m}, n={n}")
 
 
 def _fmt(v):
@@ -103,12 +118,13 @@ def run_fig1(*, seed=0, n=40, mn_grid=(2.0, 2.5, 3.0, 3.5, 4.0, 4.5, 5.0, 5.5, 6
     """
     _check_counts(n=n, trials=trials, tau=tau, max_iter=max_iter)
     _check_names("algos", algos, ("ap", "phasecut"))
+    _check_ratios(mn_grid)
     rows = []
     for algo in algos:
         for gi, ratio in enumerate(mn_grid):
             m = int(round(ratio * n))
             succ = 0
-            for ti in range(trials):
+            for ti in range(trials if m else 0):  # m = 0: no recovery, nothing to run
                 rng = RngStream(seed, (_TAG_FIG1, gi, ti))
                 if algo == "ap":
                     ok = _ap_trial(n, m, "complex-gaussian", rng, tau, max_iter)
@@ -129,7 +145,9 @@ def run_fig3(*, seed=0, n=400, m=None, d_grid=(0.0025, 0.01, 0.025, 0.05, 0.075,
     """
     _check_counts(n=n, m=m, pairs=pairs)
     _check_names("algos", algos, ("AP", "WF"))
+    _check_values("d_grid", d_grid, lambda d: 0.0 < d < 2.0, "d must lie in (0, 2)")
     m = 10 * n if m is None else m
+    _check_sampled("fig3", m, n)
     inst = gen_phase_retrieval(n, m, "real-gaussian", RngStream(seed, (_TAG_FIG3, 0)))
     rows = []
     for ai, algo in enumerate(algos):
@@ -163,24 +181,22 @@ def run_fig5(*, seed=0, n=32, mn_grid=(0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8
     """
     _check_counts(n=n, trials=trials, p_values=p_values, tau=tau, max_iter=max_iter)
     _check_names("ensembles", ensembles, ENSEMBLE_KINDS)
+    _check_ratios(mn_grid)
+    if "structured-frame" in ensembles:
+        haar_frame(n, 0)  # raises InvalidDimension unless n is a power of two
     rows = []
     for ki, kind in enumerate(ensembles):
         for pi, p in enumerate(p_values):
             for gi, ratio in enumerate(mn_grid):
                 m = int(round(ratio * n))
-                label = f"bm-p{p}/{kind}"
-                if m == 0:
-                    # no measurements: recovery impossible, nothing to run
-                    rows.append((label, n, m, trials, 0, 0.0, seed))
-                    continue
                 p_eff = reference_rank(m) if p == "ref" else int(p)
                 succ = 0
-                for ti in range(trials):
+                for ti in range(trials if m else 0):  # m = 0: no recovery, nothing to run
                     rng = RngStream(seed, (_TAG_FIG5, ki, gi, ti))
                     inst = gen_phase_retrieval(n, m, kind, rng.split(0))
                     ok = _bm_trial(inst, p_eff, rng.split(1 + pi), tau, max_iter)
                     succ += bool(ok)
-                rows.append((label, n, m, trials, succ, succ / trials, seed))
+                rows.append((f"bm-p{p}/{kind}", n, m, trials, succ, succ / trials, seed))
     if out:
         write_csv(out, SUCCESS_HEADER, rows)
     return rows
@@ -193,6 +209,7 @@ def run_basin(*, seed=0, n=20, m=None, grid=101, half_width=None, max_iter=2000,
     """
     _check_counts(n=n, m=m, grid=grid, half_width=half_width, max_iter=max_iter)
     m = 20 * n if m is None else m
+    _check_sampled("basin", m, n)
     rng = RngStream(seed, (_TAG_BASIN,))
     inst = gen_phase_retrieval(n, m, "real-gaussian", rng.split(0))
     x = inst.x_true
@@ -242,6 +259,7 @@ def run_sync(*, seed=0, n=200, sigma_grid=(0.0, 0.1, 0.2, 0.3, 0.5), max_iter=10
     _check_counts(n=n, max_iter=max_iter)
     if n < 2:
         raise ValueError(f"sync needs n >= 2, got {n}")
+    _check_values("sigma_grid", sigma_grid, lambda s: s >= 0.0, "sigma must be >= 0")
     scale = math.sqrt(n / math.log(n))
     tol = 1e-10 * math.sqrt(n)
     rows = []

@@ -5,7 +5,6 @@ attraction-basin maps for alternating projections."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,36 +49,25 @@ def expected_hess_form(x, x_s, h):
     return 2.0 * ((2.0 * nx2 - ns2) * nh2 + 4.0 * re_xh ** 2 - ip_sh ** 2)
 
 
-@dataclass(frozen=True)
-class CriticalClass:
-    """Which expected-landscape critical set a point belongs to.
-
-    tag: "solution" (the global minimizers), "origin" (the strict local
-    maximum at 0), "ring" (the orthogonal saddle circle at radius
-    ||x_s||/sqrt(2)), or "none".
-    """
-
-    tag: str
-    tol: float
-
-
 def classify_critical(x, x_s, tol=1e-8):
-    """Classify x against the three expected-landscape critical sets.
+    """Which expected-landscape critical set x belongs to, as a tag.
 
-    Checked in priority order: solution (distance mod phase), origin (norm),
-    ring (orthogonality to x_s and radius ||x_s||/sqrt(2)).
+    "solution" (the global minimizers, by distance mod phase), "origin" (the
+    strict local maximum at 0, by norm), "ring" (the orthogonal saddle circle:
+    orthogonal to x_s at radius ||x_s||/sqrt(2)), checked in that order, or
+    "none".
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
     ns = float(np.linalg.norm(x_s))
     if dist_mod_phase(x, x_s) <= tol * ns:
-        return CriticalClass("solution", tol)
+        return "solution"
     nx = float(np.linalg.norm(x))
     if nx <= tol * ns:
-        return CriticalClass("origin", tol)
+        return "origin"
     if abs(complex(np.vdot(x_s, x))) <= tol * ns ** 2 and abs(nx - ns / math.sqrt(2.0)) <= tol * ns:
-        return CriticalClass("ring", tol)
-    return CriticalClass("none", tol)
+        return "ring"
+    return "none"
 
 
 def curvature_probe(instance, x, tol_fd=0.05):
@@ -198,38 +186,26 @@ def basin_map(instance, center, dirs, half_width, grid, max_iter=2000):
     X = solve_from_qr(q, r, ap_iterate(q, b, Y0, max_iter, 1e-10)[0])
 
     radius = 1e-4 * float(np.linalg.norm(instance.x_true))
-    reps = []
-    labels = np.empty(K, dtype=int)
-    for j in range(K):
+    # each start joins the nearest cluster representative within radius,
+    # else founds a cluster; representatives are the columns of reps
+    reps = X[:, :1].copy()
+    labels = np.zeros(K, dtype=int)
+    for j in range(1, K):
         x = X[:, j]
-        lab = -1
-        if reps:
-            Rp = np.stack(reps, axis=1)
-            nx2 = float(x @ x)
-            d2c = nx2 + np.einsum("ij,ij->j", Rp, Rp) - 2.0 * np.abs(x @ Rp)
-            k = int(np.argmin(d2c))
-            if d2c[k] <= radius ** 2:
-                lab = k
-        if lab < 0:
-            reps.append(x)
-            lab = len(reps) - 1
-        labels[j] = lab
+        d2c = x @ x + np.einsum("ij,ij->j", reps, reps) - 2.0 * np.abs(x @ reps)
+        k = int(np.argmin(d2c))
+        if not d2c[k] <= radius ** 2:  # a NaN distance founds a cluster too
+            reps = np.column_stack((reps, x))
+            k = reps.shape[1] - 1
+        labels[j] = k
 
-    # reserve label 0 for the cluster holding the solution
-    sol = -1
-    for k, rep in enumerate(reps):
-        if dist_mod_phase(rep, instance.x_true) <= radius:
-            sol = k
-            break
-    out = np.empty(K, dtype=int)
-    if sol < 0:
-        out[:] = labels + 1  # no solution cluster observed; 0 stays unused
-    else:
-        remap = {sol: 0}
-        nxt = 1
-        for k in range(len(reps)):
-            if k != sol:
-                remap[k] = nxt
-                nxt += 1
-        out[:] = [remap[v] for v in labels]
-    return out.reshape(grid, grid)
+    # reserve label 0 for the cluster holding the solution; with none
+    # observed, sol is past the last cluster and 0 stays unused
+    R = reps.shape[1]
+    sol = next((k for k in range(R) if dist_mod_phase(reps[:, k], instance.x_true) <= radius), R)
+    return _solution_first(labels, sol).reshape(grid, grid)
+
+
+def _solution_first(labels, sol):
+    """Cluster sol becomes label 0, the others keep their order from 1 up."""
+    return np.where(labels == sol, 0, labels + (labels < sol))

@@ -97,7 +97,10 @@ class LeaveOneOutDiagnostics:
     max_dist_aux: np.ndarray    # max_k dist mod phase between main and aux k
     max_corr_main: np.ndarray   # max_k |<W_:,k, z_t>|
     max_corr_aux: np.ndarray    # max_k |<W_:,k, z_t^(k)>|
-    iterations: int
+
+    @property
+    def iterations(self):
+        return len(self.max_dist_aux)
 
     def rows(self):
         for t in range(self.iterations):
@@ -115,7 +118,7 @@ def _aux_matvec(C, W, Z):
     d = np.einsum("ij,ij->j", W.conj(), Z)
     M[np.arange(Z.shape[0]), np.arange(Z.shape[1])] -= d
     M -= W * np.diagonal(Z)[None, :]
-    return M, d
+    return M
 
 
 def _aux_principal(C, W, n, tol=1e-9, max_iter=50_000):
@@ -124,7 +127,7 @@ def _aux_principal(C, W, n, tol=1e-9, max_iter=50_000):
     V = sample_gaussian(rng, n * n, "complex").reshape(n, n)
     V /= np.linalg.norm(V, axis=0)
     for _ in range(max_iter):
-        M, _ = _aux_matvec(C, W, V)
+        M = _aux_matvec(C, W, V)
         lam = np.real(np.einsum("ij,ij->j", V.conj(), M))
         res = np.linalg.norm(M - V * lam[None, :], axis=0)
         if np.all(res <= tol * (1.0 + np.abs(lam))):
@@ -145,7 +148,7 @@ def loo_run(instance, history):
     Z = _aux_principal(C, W, instance.n)
     max_dist, corr_main, corr_aux = [], [], []
     for z in history[1:]:
-        M, _ = _aux_matvec(C, W, Z)
+        M = _aux_matvec(C, W, Z)
         Z = torus_project(M)
         ip = np.abs(z.conj() @ Z)  # |<z, Z_:,k>| per column
         nz2 = float(np.real(np.vdot(z, z)))
@@ -159,5 +162,4 @@ def loo_run(instance, history):
         max_dist_aux=np.asarray(max_dist),
         max_corr_main=np.asarray(corr_main),
         max_corr_aux=np.asarray(corr_aux),
-        iterations=len(max_dist),
     )

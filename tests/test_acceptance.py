@@ -157,7 +157,7 @@ def test_c05_gradient_and_hessian_oracles():
     for i in range(50):
         rng = RngStream(SEED, (55, i))
         C = hermitize(sample_gaussian(rng.split(0), 64, "real").reshape(8, 8))
-        prob = bm.UnitDiagSDP(8, C, "raw", None)
+        prob = bm.UnitDiagSDP(C)
         V = bm.random_factor(rng.split(1), 8, 2)
         bm.sosp_probe(prob, V, trials=1, rng=rng.split(2))
     report(5, ok_g and ok_h, f"worst grad fd error {worst_g:.2e}; 50 quadform probes ok")
@@ -212,7 +212,7 @@ def test_c08_multistart_consistency():
     for i in range(20):
         rng = RngStream(SEED, (8, i))
         C = hermitize(sample_gaussian(rng.split(0), 400, "real").reshape(20, 20))
-        prob = bm.UnitDiagSDP(20, C, "raw", None)
+        prob = bm.UnitDiagSDP(C)
         vals = []
         for s in range(5):
             _, rep = bm.riemannian_gd(prob, 7, rng.split(1, s), max_iter=30000)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+
+from lowrankrec import burer_monteiro as bm
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -27,7 +29,7 @@ from lowrankrec.problems import dist_mod_phase, gen_phase_retrieval, gen_sync, r
 
 
 def random_cost(rng, n):
-    return UnitDiagSDP(n, hermitize(sample_gaussian(rng, n * n, "real").reshape(n, n)), "raw", None)
+    return UnitDiagSDP(hermitize(sample_gaussian(rng, n * n, "real").reshape(n, n)))
 
 
 class TestPhasecutCost:
@@ -239,6 +241,39 @@ class TestPhasecutSolve:
         V, rep = riemannian_gd(prob, 1, RngStream(40), v0=u)
         assert rep.converged and rep.iterations == 0
         assert dist_mod_phase(V[:, 0], u[:, 0]) <= 1e-9 * np.sqrt(48)
+
+
+class TestDispatch:
+    """A PhaseCut problem is the one that carries its instance: it alone takes LM."""
+
+    @pytest.fixture
+    def solvers(self, monkeypatch):
+        called = []
+        for name in ("_phasecut_lm", "_rgd"):
+            def recording(*args, _name=name, _fn=getattr(bm, name)):
+                called.append(_name)
+                return _fn(*args)
+            monkeypatch.setattr(bm, name, recording)
+        return called
+
+    def test_phasecut_cost_takes_lm(self, solvers):
+        inst = gen_phase_retrieval(4, 16, "complex-gaussian", RngStream(37))
+        prob = phasecut_cost(inst)
+        assert prob.instance is inst and prob.dim == prob.cost.shape[0] == 16
+        V, _ = riemannian_gd(prob, 2, RngStream(38), max_iter=5)
+        assert solvers == ["_phasecut_lm"]
+        assert round_factor(prob, V).shape == (4,)  # lifted to signal space
+
+    @pytest.mark.parametrize("make", [
+        lambda: sync_cost(gen_sync(6, 0.1, RngStream(39))),
+        lambda: random_cost(RngStream(40), 6),
+    ], ids=["sync_cost", "raw"])
+    def test_other_costs_take_rgd(self, solvers, make):
+        prob = make()
+        assert prob.instance is None and prob.dim == prob.cost.shape[0] == 6
+        V, _ = riemannian_gd(prob, 2, RngStream(41), max_iter=5)
+        assert solvers == ["_rgd"]
+        assert round_factor(prob, V).shape == (6,)  # unit-modulus phases, one per row
 
 
 class TestDualCertificate:

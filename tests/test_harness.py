@@ -11,6 +11,7 @@ import pytest
 import lowrankrec
 from lowrankrec import harness
 from lowrankrec.cli import build_parser, main
+from lowrankrec.problems import ENSEMBLE_KINDS
 from lowrankrec.harness import (
     RUNNERS,
     SUCCESS_HEADER,
@@ -248,6 +249,52 @@ class TestCLI:
         monkeypatch.setattr(harness, trial, lambda *a, **k: calls.append(a))
         assert main(["bench", *argv, "--out", str(tmp_path / "x.csv")]) == 2
         assert calls == []
+
+    @pytest.mark.parametrize("argv, trial, need", [
+        (["fig3", "--n", "8", "--d-grid", "0.01,2.5", "--pairs", "2"], "displacement_probe",
+         "--d-grid: d must lie in (0, 2), got 2.5"),
+        (["fig5", "--n", "12", "--mn-grid", "3", "--trials", "1", "--p", "1",
+          "--ensemble", "complex-gaussian,structured-frame"], "_bm_trial",
+         "structured-frame requires n a power of two, got 12"),
+        (["sync", "--n", "10", "--sigma", "0,-0.1"], "gpm", "--sigma: sigma must be >= 0, got -0.1"),
+        (["fig1", "--n", "8", "--mn-grid", "3,nan", "--trials", "1"], "_ap_trial",
+         "--mn-grid: m/n must be finite and >= 0, got nan"),
+        (["fig1", "--n", "8", "--mn-grid", "3,inf", "--trials", "1"], "_ap_trial",
+         "--mn-grid: m/n must be finite and >= 0, got inf"),
+        (["fig5", "--n", "8", "--mn-grid", "3,-1", "--trials", "1", "--p", "1"], "_bm_trial",
+         "--mn-grid: m/n must be finite and >= 0, got -1.0"),
+    ], ids=["fig3-d", "fig5-frame-size", "sync-sigma", "fig1-nan", "fig1-inf", "fig5-negative"])
+    def test_bad_grid_value_fails_before_any_trial(self, tmp_path, monkeypatch, capsys,
+                                                   argv, trial, need):
+        calls = []
+        monkeypatch.setattr(harness, trial, lambda *a, **k: calls.append(a))
+        assert main(["bench", *argv, "--out", str(tmp_path / "x.csv")]) == 2
+        assert calls == []
+        assert need in capsys.readouterr().err
+
+    def test_fig1_writes_zero_measurement_row(self, tmp_path):
+        # m = 0 is fig5's 0-success row, not a configuration error
+        out = tmp_path / "f1.csv"
+        assert main(["bench", "fig1", "--n", "8", "--mn-grid", "3,0", "--trials", "2",
+                     "--out", str(out)]) == 0
+        rows = [line.split(",") for line in read(out).decode().strip().split("\n")[1:]]
+        assert rows[1] == ["ap", "8", "0", "2", "0", "0.0", "0"]
+
+    @pytest.mark.parametrize("argv", [
+        ["basin", "--n", "8", "--grid", "3", "--m", "4"],
+        ["fig3", "--n", "8", "--m", "4", "--pairs", "3", "--d-grid", "0.1"],
+    ], ids=["basin", "fig3"])
+    def test_undersampled_bench_exit_code(self, tmp_path, capsys, argv):
+        csv_path = tmp_path / "x.csv"
+        assert main(["bench", *argv, "--out", str(csv_path)]) == 2
+        assert "m=4, n=8" in capsys.readouterr().err
+        assert not csv_path.exists()
+
+    def test_gen_ensembles_are_the_library_kinds(self):
+        sub = next(a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        ensemble = next(a for a in sub.choices["gen"]._actions if a.dest == "ensemble")
+        assert ensemble.choices is ENSEMBLE_KINDS
 
     def test_bench_flags_match_runner_parameters(self):
         # every bench flag feeds some runner, and every runner parameter has a flag

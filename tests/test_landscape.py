@@ -2,9 +2,14 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from lowrankrec import harness, landscape
 from lowrankrec.errors import MissingGroundTruth
+from lowrankrec.harness import run_basin
 from lowrankrec.landscape import (
+    _solution_first,
     basin_map,
     classify_critical,
     curvature_probe,
@@ -14,7 +19,39 @@ from lowrankrec.landscape import (
     expected_loss,
 )
 from lowrankrec.numerics import RngStream, sample_gaussian
-from lowrankrec.problems import gen_phase_retrieval
+from lowrankrec.problems import dist_mod_phase, gen_phase_retrieval
+
+
+def dict_relabel(labels, sol, clusters):
+    """Label remap spelled as a dict: sol -> 0, the others 1, 2, ... in order."""
+    remap = {sol: 0}
+    for k in range(clusters):
+        if k != sol:
+            remap[k] = len(remap)
+    return np.array([remap[v] for v in labels], dtype=int)
+
+
+def greedy_labels(X, x_true):
+    """Reference clustering of basin_map: one start at a time, representatives re-stacked."""
+    radius = 1e-4 * float(np.linalg.norm(x_true))
+    reps = []
+    labels = []
+    for x in X.T:
+        lab = -1
+        if reps:
+            Rp = np.stack(reps, axis=1)
+            d2c = float(x @ x) + np.einsum("ij,ij->j", Rp, Rp) - 2.0 * np.abs(x @ Rp)
+            k = int(np.argmin(d2c))
+            if d2c[k] <= radius ** 2:
+                lab = k
+        if lab < 0:
+            reps.append(x)
+            lab = len(reps) - 1
+        labels.append(lab)
+    sol = next((k for k, rep in enumerate(reps) if dist_mod_phase(rep, x_true) <= radius), -1)
+    if sol < 0:
+        return np.asarray(labels) + 1
+    return dict_relabel(labels, sol, len(reps))
 
 
 def ring_point(scale=1.0):
@@ -113,12 +150,12 @@ class TestExpectedHessForm:
 class TestClassifyCritical:
     def test_tags(self):
         x, x_s = ring_point()
-        assert classify_critical(x_s, x_s).tag == "solution"
-        assert classify_critical(np.exp(0.5j) * x_s, x_s).tag == "solution"
-        assert classify_critical(np.zeros(4), x_s).tag == "origin"
-        assert classify_critical(x, x_s).tag == "ring"
+        assert classify_critical(x_s, x_s) == "solution"
+        assert classify_critical(np.exp(0.5j) * x_s, x_s) == "solution"
+        assert classify_critical(np.zeros(4), x_s) == "origin"
+        assert classify_critical(x, x_s) == "ring"
         generic = np.array([1.0, 2.0, 3.0, 4.0], dtype=complex)
-        assert classify_critical(generic, x_s).tag == "none"
+        assert classify_critical(generic, x_s) == "none"
 
     def test_tol_guard(self):
         x, x_s = ring_point()
@@ -203,3 +240,33 @@ class TestBasinMap:
         assert len(np.unique(labels)) >= 2
         # the solution basin dominates the map
         assert np.mean(labels == 0) > 0.5
+
+    @pytest.mark.parametrize("config", [
+        dict(seed=101, n=20, grid=101),
+        dict(seed=101, n=8, grid=7, m=80, max_iter=300),
+        dict(seed=7, n=8, grid=15, m=80, max_iter=300),
+    ], ids=["landscape-size", "n8-grid7", "n8-seed7"])
+    def test_labels_match_greedy_reference(self, monkeypatch, config):
+        # record the instance run_basin maps and the AP limits basin_map
+        # clusters, its one solve_from_qr result
+        seen = []
+        for module, name in ((harness, "basin_map"), (landscape, "solve_from_qr")):
+            def recording(*args, _fn=getattr(module, name), **kwargs):
+                seen.append((args, _fn(*args, **kwargs)))
+                return seen[-1][1]
+            monkeypatch.setattr(module, name, recording)
+        labels = run_basin(**config)
+        (_, limits), ((inst, *_), out) = seen
+        assert out is labels
+        np.testing.assert_array_equal(labels.ravel(), greedy_labels(limits, inst.x_true))
+
+
+@settings(deadline=None, derandomize=True, database=None, max_examples=60)
+@given(st.integers(1, 12).flatmap(lambda c: st.tuples(
+    st.just(c), st.integers(0, c), st.lists(st.integers(0, c - 1), min_size=1, max_size=30))))
+def test_solution_first_matches_dict_remap(case):
+    # sol == clusters is basin_map's "no solution cluster": every label moves up by one
+    clusters, sol, labels = case
+    labels = np.asarray(labels)
+    expected = labels + 1 if sol == clusters else dict_relabel(labels, sol, clusters)
+    np.testing.assert_array_equal(_solution_first(labels, sol), expected)

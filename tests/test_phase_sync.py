@@ -205,7 +205,7 @@ def lockstep_reference(inst, max_iter, tol):
     max_dist, corr_main, corr_aux = [], [], []
     for _ in range(max_iter):
         p = torus_project(C @ z)
-        M, _ = _aux_matvec(C, W, Z)
+        M = _aux_matvec(C, W, Z)
         P = torus_project(M)
         if float(np.linalg.norm(p - z)) < tol:
             break
