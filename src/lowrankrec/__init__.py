@@ -13,7 +13,6 @@ from .errors import (
 from .numerics import (
     RngStream,
     dominant_eigenvector,
-    hermitian_eigen,
     hermitize,
     least_squares,
     sample_gaussian,
@@ -28,7 +27,6 @@ from .problems import (
     load_instance,
     rel_error_mod_phase,
     save_instance,
-    success,
 )
 from .phase_retrieval import (
     alternating_projections,

@@ -46,7 +46,6 @@ class SOSPCertificate:
     over the sampled unit tangent directions: a lower-bound estimate only.
     """
 
-    riemannian_grad_norm: float
     min_quadform: float
     factor_rank: int
 
@@ -93,11 +92,6 @@ def objective(problem, V):
 def riemannian_grad(problem, V):
     """Tangent gradient of f on the unit-row manifold, see evaluate."""
     return evaluate(problem.cost, V)[1]
-
-
-def row_multipliers(problem, V):
-    """Rowwise Lagrange multipliers Re<v_k, (C V)_k> of the unit-row constraints."""
-    return evaluate(problem.cost, V)[2]
 
 
 def _unit_rows(W, norms):
@@ -341,7 +335,7 @@ def dual_certificate(problem, V):
     proves V V* optimal for the SDP (Bandeira, Boumal & Singer, Math.
     Program. 2017); S >= -eps I bounds the optimality gap by eps N.
     """
-    lam = row_multipliers(problem, V)
+    lam = evaluate(problem.cost, V)[2]
     return float(np.linalg.eigvalsh(problem.cost - np.diag(lam))[0])
 
 
@@ -374,8 +368,7 @@ def sosp_probe(problem, V, trials, rng):
     V = np.asarray(V)
     C = problem.cost
     n, p = V.shape
-    f0, grad, lam = evaluate(C, V)
-    gnorm = float(np.linalg.norm(grad))
+    f0, _, lam = evaluate(C, V)
     scale_guard = 1e-8 * max(opnorm_estimate(C), 1e-300)
 
     def quadform(H):
@@ -407,11 +400,7 @@ def sosp_probe(problem, V, trials, rng):
         qmin = min(qmin, q)
     s = np.linalg.svd(V, compute_uv=False)
     rank = int(np.sum(s > 1e-8 * s[0])) if s.size else 0
-    return SOSPCertificate(
-        riemannian_grad_norm=gnorm,
-        min_quadform=qmin,
-        factor_rank=rank,
-    )
+    return SOSPCertificate(min_quadform=qmin, factor_rank=rank)
 
 
 def reference_rank(N):

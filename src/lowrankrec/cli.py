@@ -147,6 +147,7 @@ def _cmd_solve(args):
         out = _report_dict(report)
     else:  # bm
         if isinstance(inst, PhaseRetrievalInstance):
+            _check_sampled("bm", inst.m, inst.n)
             prob = phasecut_cost(inst)
         elif isinstance(inst, SyncInstance):
             prob = sync_cost(inst)
@@ -191,7 +192,7 @@ def main(argv=None):
         if args.command == "solve":
             return _cmd_solve(args)
         return _cmd_bench(args)
-    except (ValueError, OSError, KeyError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except LowRankRecError as exc:

@@ -40,15 +40,16 @@ def _flag(name):
 
 
 def _check_counts(**counts):
-    """Reject a count below 1, or a tau or half_width not above 0, naming its flag.
+    """Reject a count below 1, or a tau or half_width not finite and above 0, naming its flag.
 
     A tuple is checked entry by entry; None (a derived default) and "ref" pass.
     """
     for name, value in counts.items():
         real = name in ("tau", "half_width")
         for v in value if isinstance(value, (tuple, list)) else (value,):
-            if v is not None and v != "ref" and not (v > 0 if real else v >= 1):
-                raise ValueError(f"{_flag(name)} must be {'> 0' if real else '>= 1'}, got {v}")
+            if v is not None and v != "ref" and not (0 < v < math.inf if real else v >= 1):
+                need = "> 0 and finite" if real else ">= 1"
+                raise ValueError(f"{_flag(name)} must be {need}, got {v}")
 
 
 def _check_values(name, values, ok, need):
@@ -119,6 +120,9 @@ def run_fig1(*, seed=0, n=40, mn_grid=(2.0, 2.5, 3.0, 3.5, 4.0, 4.5, 5.0, 5.5, 6
     _check_counts(n=n, trials=trials, tau=tau, max_iter=max_iter)
     _check_names("algos", algos, ("ap", "phasecut"))
     _check_ratios(mn_grid)
+    if "phasecut" in algos:
+        _check_values("mn_grid", mn_grid, lambda r: round(r * n) <= 512,
+                      "phasecut's reference solver needs m <= 512")
     rows = []
     for algo in algos:
         for gi, ratio in enumerate(mn_grid):
@@ -172,6 +176,10 @@ def _bm_trial(inst, p, rng, tau, max_iter):
     return rel_error_mod_phase(x, inst.x_true, inst.field) < tau
 
 
+def _width(p, m):
+    return reference_rank(m) if p == "ref" else int(p)
+
+
 def run_fig5(*, seed=0, n=32, mn_grid=(0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0), trials=20,
              ensembles=("complex-gaussian", "structured-frame"), p_values=(1, 2, "ref"),
              tau=1e-3, max_iter=6000, out=None):
@@ -184,12 +192,15 @@ def run_fig5(*, seed=0, n=32, mn_grid=(0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8
     _check_ratios(mn_grid)
     if "structured-frame" in ensembles:
         haar_frame(n, 0)  # raises InvalidDimension unless n is a power of two
+    for m in sorted({int(round(r * n)) for r in mn_grid} - {0}):  # m = 0 runs nothing
+        _check_values("p_values", p_values, lambda p: _width(p, m) <= m,
+                      f"factor width must be <= m = {m}")
     rows = []
     for ki, kind in enumerate(ensembles):
         for pi, p in enumerate(p_values):
             for gi, ratio in enumerate(mn_grid):
                 m = int(round(ratio * n))
-                p_eff = reference_rank(m) if p == "ref" else int(p)
+                p_eff = _width(p, m)
                 succ = 0
                 for ti in range(trials if m else 0):  # m = 0: no recovery, nothing to run
                     rng = RngStream(seed, (_TAG_FIG5, ki, gi, ti))
@@ -259,6 +270,7 @@ def run_sync(*, seed=0, n=200, sigma_grid=(0.0, 0.1, 0.2, 0.3, 0.5), max_iter=10
     _check_counts(n=n, max_iter=max_iter)
     if n < 2:
         raise ValueError(f"sync needs n >= 2, got {n}")
+    _check_values("sigma_grid", sigma_grid, math.isfinite, "sigma must be finite")
     _check_values("sigma_grid", sigma_grid, lambda s: s >= 0.0, "sigma must be >= 0")
     scale = math.sqrt(n / math.log(n))
     tol = 1e-10 * math.sqrt(n)

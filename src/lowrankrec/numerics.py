@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from .errors import NonConvergence, NumericFailure, RankDeficient
+from .errors import NonConvergence, RankDeficient
 
 
 class RngStream:
@@ -73,7 +73,7 @@ def torus_project(z):
     return np.divide(z, a, out=np.ones_like(z, dtype=np.result_type(z, 1.0)), where=a > 0)
 
 
-def dominant_eigenvector(H, tol=1e-10, max_iter=20000, rng=None):
+def dominant_eigenvector(H, rng, tol=1e-10, max_iter=20000):
     """Top eigenpair of a Hermitian matrix.
 
     Power iteration on the positively shifted matrix H + sI, with s >= the
@@ -91,8 +91,6 @@ def dominant_eigenvector(H, tol=1e-10, max_iter=20000, rng=None):
         raise ValueError("empty matrix")
     if tol <= 0:
         raise ValueError("tol must be positive")
-    if rng is None:
-        rng = RngStream(0x5EED)
     field = "real" if np.isrealobj(H) else "complex"
     v0 = sample_gaussian(rng, n, field)
     v = v0 / np.linalg.norm(v0)
@@ -110,24 +108,6 @@ def dominant_eigenvector(H, tol=1e-10, max_iter=20000, rng=None):
     raise NonConvergence(
         f"power iteration residual {res:.3e} above tol after {max_iter} iterations"
     )
-
-
-def hermitian_eigen(H):
-    """Full eigendecomposition H = Q diag(w) Q* with w ascending.
-
-    Dense algorithm (LAPACK); intended for n <= 2048.
-    """
-    H = np.asarray(H)
-    n = H.shape[0]
-    if n > 2048:
-        raise ValueError("dense eigendecomposition limited to n <= 2048")
-    try:
-        w, q = np.linalg.eigh(H)
-    except np.linalg.LinAlgError as exc:
-        raise NumericFailure(str(exc)) from exc
-    if not (np.all(np.isfinite(w)) and np.all(np.isfinite(q))):
-        raise NumericFailure("non-finite eigendecomposition output")
-    return w, q
 
 
 RANK_TOL = 1e-12

@@ -121,16 +121,16 @@ def _aux_matvec(C, W, Z):
     return M
 
 
-def _aux_principal(C, W, n, tol=1e-9, max_iter=50_000):
+def _aux_principal(C, W, max_iter=50_000):
     """Batched power iteration: column k converges to the principal vector of C^(k)."""
-    rng = RngStream(_INIT_SEED, (1,))
-    V = sample_gaussian(rng, n * n, "complex").reshape(n, n)
+    n = C.shape[0]
+    V = sample_gaussian(RngStream(_INIT_SEED, (1,)), n * n, "complex").reshape(n, n)
     V /= np.linalg.norm(V, axis=0)
     for _ in range(max_iter):
         M = _aux_matvec(C, W, V)
         lam = np.real(np.einsum("ij,ij->j", V.conj(), M))
         res = np.linalg.norm(M - V * lam[None, :], axis=0)
-        if np.all(res <= tol * (1.0 + np.abs(lam))):
+        if np.all(res <= 1e-9 * (1.0 + np.abs(lam))):
             return V
         V = M / np.linalg.norm(M, axis=0)
     raise NonConvergence(f"leave-one-out power iteration residual {res.max():.3e} "
@@ -145,7 +145,7 @@ def loo_run(instance, history):
     """
     C = instance.observations
     W = instance.noise
-    Z = _aux_principal(C, W, instance.n)
+    Z = _aux_principal(C, W)
     max_dist, corr_main, corr_aux = [], [], []
     for z in history[1:]:
         M = _aux_matvec(C, W, Z)

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidDimension, MissingGroundTruth
-from .numerics import RngStream, hermitize, sample_gaussian
+from .errors import InvalidDimension
+from .numerics import hermitize, sample_gaussian
 
 ENSEMBLE_KINDS = ("complex-gaussian", "real-gaussian", "structured-frame")
 
@@ -100,14 +100,12 @@ def haar_frame(n, m):
     return rows
 
 
-def gen_phase_retrieval(n, m, kind="complex-gaussian", rng=None):
+def gen_phase_retrieval(n, m, kind, rng):
     """Instance with Gaussian signal and exact moduli b_k = |<x_true, v_k>|."""
     if n < 1 or m < 1:
         raise ValueError("n and m must be >= 1")
     if kind not in ENSEMBLE_KINDS:
         raise ValueError(f"unknown ensemble kind {kind!r}")
-    if rng is None:
-        rng = RngStream(0)
     if kind == "real-gaussian":
         field = "real"
         B = sample_gaussian(rng, m * n, "real").reshape(m, n)
@@ -122,7 +120,7 @@ def gen_phase_retrieval(n, m, kind="complex-gaussian", rng=None):
     return PhaseRetrievalInstance(kind, B, b, x_true, field)
 
 
-def gen_sync(n, sigma, rng=None):
+def gen_sync(n, sigma, rng):
     """Noisy rank-one synchronization instance C = z z* + W.
 
     z has i.i.d. uniform phases; the strict upper triangle of W holds i.i.d.
@@ -132,10 +130,8 @@ def gen_sync(n, sigma, rng=None):
     """
     if n < 2:
         raise ValueError("n must be >= 2")
-    if sigma < 0:
-        raise ValueError("sigma must be >= 0")
-    if rng is None:
-        rng = RngStream(0)
+    if not 0 <= sigma < math.inf:
+        raise ValueError(f"sigma must be finite and >= 0, got {sigma}")
     theta = rng.generator.random(n) * 2.0 * np.pi
     z = np.exp(1j * theta)
     W = np.zeros((n, n), dtype=complex)
@@ -173,13 +169,6 @@ def dist_mod_phase(u, v, field=None):
 
 def rel_error_mod_phase(estimate, truth, field=None):
     return dist_mod_phase(estimate, truth, field) / np.linalg.norm(truth)
-
-
-def success(report, tau=1e-3):
-    """True iff the report's relative error modulo phase is below tau."""
-    if report.rel_error_mod_phase is None:
-        raise MissingGroundTruth("report carries no ground-truth error")
-    return report.rel_error_mod_phase < tau
 
 
 # --- serialization -----------------------------------------------------------

@@ -19,7 +19,7 @@ from lowrankrec.harness import (
     run_sync,
 )
 from lowrankrec.landscape import expected_grad, expected_hess_form, expected_loss
-from lowrankrec.numerics import RngStream, hermitian_eigen, hermitize, least_squares, sample_gaussian
+from lowrankrec.numerics import RngStream, hermitize, least_squares, sample_gaussian
 from lowrankrec.phase_retrieval import wf_grad, wf_loss
 from lowrankrec.phase_sync import fixed_point_residual, gpm, loo_run
 from lowrankrec.problems import gen_phase_retrieval, gen_sync
@@ -230,7 +230,7 @@ def test_c09_phasecut_matrix_contract():
         rng = RngStream(SEED, (9, i))
         inst = gen_phase_retrieval(6, 18, "complex-gaussian", rng.split(0))
         prob = bm.phasecut_cost(inst)
-        w, _ = hermitian_eigen(prob.cost)
+        w = np.linalg.eigvalsh(prob.cost)
         min_eig_ok &= w[0] >= -1e-10 * max(abs(w[-1]), 1e-300)
         for j in range(100):
             u = np.exp(2j * np.pi * rng.split(1, j).generator.random(18))

@@ -23,7 +23,7 @@ from lowrankrec.burer_monteiro import (
     sync_cost,
 )
 from lowrankrec.errors import RankDeficient
-from lowrankrec.numerics import RngStream, hermitian_eigen, hermitize, least_squares, sample_gaussian
+from lowrankrec.numerics import RngStream, hermitize, least_squares, sample_gaussian
 from lowrankrec.phase_sync import fixed_point_residual, gpm, mle_objective, torus_project
 from lowrankrec.problems import dist_mod_phase, gen_phase_retrieval, gen_sync, rel_error_mod_phase
 
@@ -57,7 +57,7 @@ class TestPhasecutCost:
     def test_positive_semidefinite(self):
         inst = gen_phase_retrieval(4, 16, "complex-gaussian", RngStream(3))
         prob = phasecut_cost(inst)
-        w, _ = hermitian_eigen(prob.cost)
+        w = np.linalg.eigvalsh(prob.cost)
         assert w[0] >= -1e-10 * max(abs(w[-1]), 1.0)
 
     def test_rank_deficient_when_undersampled(self):

@@ -220,8 +220,10 @@ class TestCLI:
         (["fig5", "--n", "8", "--mn-grid", "3", "--trials", "1", "--tau", "0"], "--tau"),
         (["basin", "--n", "4", "--grid", "3", "--half-width", "0"], "--half-width"),
         (["basin", "--n", "4", "--grid", "3", "--half-width", "-2"], "--half-width"),
+        (["fig1", "--n", "8", "--mn-grid", "3", "--trials", "2", "--tau", "inf"], "--tau"),
+        (["basin", "--n", "8", "--grid", "3", "--m", "80", "--half-width", "inf"], "--half-width"),
     ], ids=["fig1-tau-negative", "fig5-tau-zero", "basin-half-width-zero",
-            "basin-half-width-negative"])
+            "basin-half-width-negative", "fig1-tau-inf", "basin-half-width-inf"])
     def test_nonpositive_real_exit_code(self, tmp_path, capsys, argv, flag):
         csv_path = tmp_path / "x.csv"
         assert main(["bench", *argv, "--out", str(csv_path)]) == 2
@@ -263,7 +265,19 @@ class TestCLI:
          "--mn-grid: m/n must be finite and >= 0, got inf"),
         (["fig5", "--n", "8", "--mn-grid", "3,-1", "--trials", "1", "--p", "1"], "_bm_trial",
          "--mn-grid: m/n must be finite and >= 0, got -1.0"),
-    ], ids=["fig3-d", "fig5-frame-size", "sync-sigma", "fig1-nan", "fig1-inf", "fig5-negative"])
+        (["sync", "--n", "20", "--sigma", "0,inf"], "gpm", "--sigma: sigma must be finite, got inf"),
+        (["fig1", "--n", "8", "--mn-grid", "3,70", "--trials", "1", "--algos", "ap,phasecut"],
+         "_ap_trial", "--mn-grid: phasecut's reference solver needs m <= 512, got 70.0"),
+        (["fig1", "--n", "8", "--mn-grid", "3,70", "--trials", "1", "--algos", "phasecut"],
+         "reference_sdp_solve", "--mn-grid: phasecut's reference solver needs m <= 512, got 70.0"),
+        (["fig5", "--n", "4", "--mn-grid", "3,1", "--p", "5", "--trials", "1",
+          "--ensemble", "complex-gaussian"], "riemannian_gd",
+         "--p: factor width must be <= m = 4, got 5"),
+        (["fig5", "--n", "1", "--mn-grid", "1", "--p", "ref", "--trials", "1"], "riemannian_gd",
+         "--p: factor width must be <= m = 1, got 'ref'"),
+    ], ids=["fig3-d", "fig5-frame-size", "sync-sigma", "fig1-nan", "fig1-inf", "fig5-negative",
+            "sync-sigma-inf", "fig1-phasecut-size-ap", "fig1-phasecut-size-ref", "fig5-p-above-m",
+            "fig5-ref-above-m"])
     def test_bad_grid_value_fails_before_any_trial(self, tmp_path, monkeypatch, capsys,
                                                    argv, trial, need):
         calls = []
@@ -328,6 +342,12 @@ class TestCLI:
         assert main(["solve", "ap", "--in", str(inst_path)]) == 2
         assert "m=4, n=8" in capsys.readouterr().err
 
+    def test_solve_bm_undersampled_exit_code(self, tmp_path, capsys):
+        inst_path = tmp_path / "small.json"
+        main(["gen", "pr", "--n", "8", "--m", "4", "--seed", "1", "--out", str(inst_path)])
+        assert main(["solve", "bm", "--in", str(inst_path), "--p", "1"]) == 2
+        assert "bm needs m >= n measurements, got m=4, n=8" in capsys.readouterr().err
+
     def test_config_error_exit_code(self, tmp_path):
         # gen pr without --m is a configuration error
         rc = main(["gen", "pr", "--n", "8", "--out", str(tmp_path / "x.json")])
@@ -369,12 +389,15 @@ class TestCLI:
         assert "missing field 'truth'" in capsys.readouterr().err
 
     def test_numeric_failure_exit_code(self, tmp_path):
-        # undersampled phasecut solve hits a rank-deficient system
-        inst_path = tmp_path / "small.json"
-        main(["gen", "pr", "--n", "8", "--m", "4", "--seed", "1",
-              "--out", str(inst_path)])
-        rc = main(["solve", "bm", "--in", str(inst_path), "--p", "1"])
-        assert rc == 3
+        # m >= n, but two equal columns leave the measurement matrix rank n - 1
+        inst_path = tmp_path / "dup.json"
+        main(["gen", "pr", "--n", "8", "--m", "48", "--seed", "1", "--out", str(inst_path)])
+        data = json.loads(read(inst_path))
+        for row in data["matrix"]:
+            row[1] = row[0]
+        inst_path.write_text(json.dumps(data))
+        assert main(["solve", "ap", "--in", str(inst_path)]) == 3
+        assert main(["solve", "bm", "--in", str(inst_path), "--p", "1"]) == 3
 
 
 class TestBenchmarkHooks:

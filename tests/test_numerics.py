@@ -8,7 +8,6 @@ from lowrankrec.errors import RankDeficient
 from lowrankrec.numerics import (
     RngStream,
     dominant_eigenvector,
-    hermitian_eigen,
     hermitize,
     least_squares,
     qr_projector,
@@ -72,7 +71,7 @@ class TestDominantEigenvector:
     def test_matches_full_eigendecomposition(self):
         H = random_hermitian(RngStream(11), 8)
         lam, v = dominant_eigenvector(H, tol=1e-12, rng=RngStream(12))
-        w, q = hermitian_eigen(H)
+        w, q = np.linalg.eigh(H)
         assert lam == pytest.approx(w[-1], abs=1e-8 * max(1.0, abs(w[-1])))
         assert abs(np.vdot(v, q[:, -1])) == pytest.approx(1.0, abs=1e-6)
 
@@ -90,31 +89,9 @@ class TestDominantEigenvector:
             field = "complex" if i % 2 == 0 else "real"
             H = random_hermitian(rng, n, field)
             lam, v = dominant_eigenvector(H, tol=1e-10, rng=rng.split(1))
-            top = hermitian_eigen(H)[0][-1]
+            top = np.linalg.eigvalsh(H)[-1]
             assert abs(lam - top) <= 1e-8 * max(1.0, abs(top))
             assert np.linalg.norm(H @ v - lam * v) <= 1e-10 * (1.0 + abs(lam))
-
-
-class TestHermitianEigen:
-    def test_identity(self):
-        w, _ = hermitian_eigen(np.eye(4))
-        assert np.allclose(w, 1.0)
-
-    def test_diag_sorted_ascending(self):
-        w, q = hermitian_eigen(np.diag([2.0, -1.0]))
-        assert np.allclose(w, [-1.0, 2.0])
-        assert abs(q[1, 0]) == pytest.approx(1.0)
-
-    def test_reconstruction(self):
-        H = random_hermitian(RngStream(21), 16)
-        w, q = hermitian_eigen(H)
-        rec = q @ np.diag(w) @ q.conj().T
-        assert np.linalg.norm(rec - H) <= 1e-10 * np.linalg.norm(H)
-        assert np.linalg.norm(q.conj().T @ q - np.eye(16)) <= 1e-10
-
-    def test_size_guard(self):
-        with pytest.raises(ValueError):
-            hermitian_eigen(np.eye(3000))
 
 
 class TestLeastSquares:

@@ -194,14 +194,14 @@ class TestLeaveOneOut:
     def test_aux_principal_non_convergence_raised(self):
         inst = gen_sync(20, 0.3, RngStream(20))
         with pytest.raises(NonConvergence):
-            _aux_principal(inst.observations, inst.noise, inst.n, max_iter=1)
+            _aux_principal(inst.observations, inst.noise, max_iter=1)
 
 
 def lockstep_reference(inst, max_iter, tol):
     """The main GPM sequence recomputed beside the auxiliary ones, step for step."""
     C, W = inst.observations, inst.noise
     z = _principal_vector(C)
-    Z = _aux_principal(C, W, inst.n)
+    Z = _aux_principal(C, W)
     max_dist, corr_main, corr_aux = [], [], []
     for _ in range(max_iter):
         p = torus_project(C @ z)
