@@ -94,8 +94,9 @@ def riemannian_grad(problem, V):
     return evaluate(problem.cost, V)[1]
 
 
-def _unit_rows(W, norms):
+def _unit_rows(W):
     """W with each row divided by its norm; zero rows become the first basis direction."""
+    norms = np.linalg.norm(W, axis=1)
     zero = norms == 0.0
     U = W / np.where(zero, 1.0, norms)[:, None]
     U[zero, 0] = 1.0
@@ -104,14 +105,13 @@ def _unit_rows(W, norms):
 
 def retract(V, H):
     """Row renormalization of V + H; zero rows map to the first basis direction."""
-    W = V + H
-    return _unit_rows(W, np.linalg.norm(W, axis=1))
+    return _unit_rows(V + H)
 
 
 def random_factor(rng, n, p):
     """Complex factor with rows drawn uniformly on the unit sphere."""
     V = sample_gaussian(rng, n * p, "complex").reshape(n, p)
-    return _unit_rows(V, np.linalg.norm(V, axis=1))
+    return _unit_rows(V)
 
 
 def opnorm_estimate(C):
@@ -134,14 +134,15 @@ def riemannian_gd(problem, p, rng, max_iter=20000, v0=None):
     """Local descent on the factor, from rows uniform on the sphere (or v0).
 
     PhaseCut costs, the problems carrying their instance, are solved by
-    Levenberg-Marquardt on their variable-projected form, see _phasecut_lm;
-    max_iter bounds its steps.  Every other cost is solved by Riemannian
-    gradient descent: the first trial step is 1/(2 ||C||_op estimate), later
-    trial steps use the Barzilai-Borwein quotient <dV,dV>/<dV,dgrad> from
-    the last accepted move, and every step is safeguarded by the Armijo test
-    f(V') <= f(V) - 1e-4 t ||grad||^2 with halving.  Along directions where
-    the cost grows only at fourth order, as it does next to a rank-deficient
-    optimum, this first-order method converges sublinearly.
+    Levenberg-Marquardt on their variable-projected form from X0 = B^+ D V,
+    see _vp_lm; max_iter bounds its steps.  Every other cost is solved by
+    Riemannian gradient descent: the first trial step is 1/(2 ||C||_op
+    estimate), later trial steps use the Barzilai-Borwein quotient
+    <dV,dV>/<dV,dgrad> from the last accepted move, and every step is
+    safeguarded by the Armijo test f(V') <= f(V) - 1e-4 t ||grad||^2 with
+    halving.  Along directions where the cost grows only at fourth order, as
+    it does next to a rank-deficient optimum, this first-order method
+    converges sublinearly.
 
     Either way the objective trace is non-increasing.  Gradient descent
     stops, converged, when the Riemannian gradient Frobenius norm drops
@@ -157,14 +158,16 @@ def riemannian_gd(problem, p, rng, max_iter=20000, v0=None):
     N = problem.dim
     if not 1 <= p <= N:
         raise ValueError("need 1 <= p <= N")
-    nrm = opnorm_estimate(C)
-    threshold = 1e-10 * max(nrm, 1e-300) * N
-    step0 = 0.5 / max(nrm, 1e-300)
+    nrm = max(opnorm_estimate(C), 1e-300)
+    threshold = 1e-10 * nrm * N
     V = random_factor(rng, N, p) if v0 is None else np.asarray(v0)
     if problem.instance is not None:
-        V, iterations, converged, trace = _phasecut_lm(problem, V, max_iter, threshold)
+        B, b = problem.instance.matrix, problem.instance.moduli
+        X, trace, iterations, converged = _vp_lm(
+            problem, least_squares(B, b[:, None] * V), max_iter, threshold)
+        V = _unit_rows(B @ X)
     else:
-        V, iterations, converged, trace = _rgd(C, V, step0, max_iter, threshold)
+        V, trace, iterations, converged = _rgd(C, V, 0.5 / nrm, max_iter, threshold)
     report = SolveReport(
         estimate=None,
         rel_error_mod_phase=None,
@@ -211,7 +214,7 @@ def _rgd(C, V, step0, max_iter, threshold):
         V, f, H = Vc, fc, Hc
         iterations += 1
         trace.append(f)
-    return V, iterations, converged, trace
+    return V, trace, iterations, converged
 
 
 # A Levenberg-Marquardt step below _LM_XTOL relative to the iterate ends the
@@ -223,56 +226,33 @@ _LM_XTOL = 1e-8
 _RANK_ONE_EVERY = 20
 
 
-def _phasecut_lm(problem, V, max_iter, threshold):
-    """PhaseCut through its variable projection, from the factor V.
+def _vp_lm(problem, X, max_iter, threshold=None):
+    """PhaseCut by Levenberg-Marquardt on its variable projection g(X).
 
-    With D = Diag(b), the PhaseCut cost is f(V) = min_X ||D V - B X||^2, and
-    minimizing the same expression over unit-norm rows instead gives
-    g(X) = sum_k (||(B X)_k|| - b_k)^2, reached at V = rownormalize(B X).  So
-    min f = min g, and a minimizer X of g gives a minimizer V of f.  g has
-    n p complex unknowns against N p for f, few enough to solve each
-    Levenberg-Marquardt model exactly.  The run starts from X0 = B^+ D V,
-    the least-squares partner of V.
+    With D = Diag(b), the PhaseCut cost is f(V) = min_X ||D V - B X||^2;
+    minimizing over unit-norm rows instead gives g(X) = sum_k (||(B X)_k|| -
+    b_k)^2, reached at V = rownormalize(B X), so min f = min g.  g has n p
+    complex unknowns against N p for f, few enough to solve each model
+    exactly.  Damping follows Nielsen's gain-ratio rule (Madsen, Nielsen &
+    Tingleff, "Methods for non-linear least squares problems", 2004),
+    floored at 1e-12 of the model's scale so the gauge directions of X stay
+    solvable.
 
     Near a rank-one optimum reached with p >= 2, g grows only at fourth
-    order along the directions that raise the rank, and a local method
-    crawls there.  The rank-one truncation of X is nondegenerate for the
-    width-one problem, so it is refined periodically; it replaces X when its
-    g is no larger and dual_certificate proves its factor optimal to within
+    order along the rank-raising directions, where a local method crawls,
+    while the rank-one truncation of X is nondegenerate at width one.  So
+    given a threshold, every _RANK_ONE_EVERY steps that truncation is
+    refined at width one; it replaces X, as one step, when its g is no
+    larger and dual_certificate proves its factor optimal to within
     threshold.
 
-    Converged means the step fell below _LM_XTOL relative to X and the
-    Riemannian gradient norm of f at the factor is below threshold.
-    Returns (V, steps, converged, trace) with the trace of g, which bounds
-    f(V) from above and equals it at critical points.
+    Stops, converged, when the step is below _LM_XTOL relative to X and,
+    given a threshold, the Riemannian gradient norm of f at the factor is
+    below it.  Returns (X, trace of g, steps, converged), one trace entry
+    per step after the first; g bounds f(V) from above, with equality at
+    critical points.
     """
     B, b = problem.instance.matrix, problem.instance.moduli
-    X = least_squares(B, b[:, None] * V)
-
-    def stationary(Y, rho):
-        return float(np.linalg.norm(riemannian_grad(problem, _unit_rows(Y, rho)))) < threshold
-
-    def optimal(Y, rho):
-        return dual_certificate(problem, _unit_rows(Y, rho)) >= -threshold
-
-    X, trace, steps, converged = _vp_lm(B, b, X, max_iter, stationary, optimal)
-    Y = B @ X
-    return _unit_rows(Y, np.linalg.norm(Y, axis=1)), steps, converged, trace
-
-
-def _vp_lm(B, b, X, max_iter, stationary=None, optimal=None):
-    """Levenberg-Marquardt on g(X) = sum_k (||(B X)_k|| - b_k)^2.
-
-    Damping follows Nielsen's gain-ratio rule (Madsen, Nielsen & Tingleff,
-    "Methods for non-linear least squares problems", 2004), floored at
-    1e-12 of the model's scale so the gauge directions of X stay solvable.
-    With optimal, every _RANK_ONE_EVERY steps the rank-one truncation of X
-    is refined at width one; it replaces X, as one step, when its g is no
-    larger and optimal(B x, row norms) holds.  Stops, converged, when the
-    step is below _LM_XTOL relative to X and stationary(B X, row norms)
-    holds (always, without stationary).  Returns (X, trace of g, steps,
-    converged), with one trace entry per step after the first.
-    """
     m = B.shape[0]
     k = X.size
 
@@ -287,12 +267,12 @@ def _vp_lm(B, b, X, max_iter, stationary=None, optimal=None):
     nu = 2.0
     while len(trace) <= max_iter:
         steps = len(trace) - 1
-        if optimal and steps and steps % _RANK_ONE_EVERY == 0 and X.shape[1] > 1:
+        if threshold is not None and steps and steps % _RANK_ONE_EVERY == 0 and X.shape[1] > 1:
             U, s, _ = np.linalg.svd(X, full_matrices=False)
             X1 = np.zeros_like(X)
-            X1[:, :1] = _vp_lm(B, b, U[:, :1] * s[0], _RANK_ONE_EVERY)[0]
+            X1[:, :1] = _vp_lm(problem, U[:, :1] * s[0], _RANK_ONE_EVERY)[0]
             Y1, rho1, F1 = value(X1)
-            if F1 <= F and optimal(Y1, rho1):
+            if F1 <= F and dual_certificate(problem, _unit_rows(Y1)) >= -threshold:
                 X, Y, rho, F = X1, Y1, rho1, F1
                 trace.append(F)
                 continue
@@ -309,8 +289,9 @@ def _vp_lm(B, b, X, max_iter, stationary=None, optimal=None):
         if not math.isfinite(mu):
             return X, trace, steps, False  # no step decreases g any more
         h = -np.linalg.solve(J.T @ J + mu * np.eye(2 * k), grad)
-        if (np.linalg.norm(h) <= _LM_XTOL * np.linalg.norm(X)
-                and (stationary is None or stationary(Y, rho))):
+        if (np.linalg.norm(h) <= _LM_XTOL * np.linalg.norm(X) and (
+                threshold is None
+                or np.linalg.norm(riemannian_grad(problem, _unit_rows(Y))) < threshold)):
             return X, trace, steps, True
         Xc = X + (h[:k] + 1j * h[k:]).reshape(X.shape)
         Yc, rhoc, Fc = value(Xc)
@@ -403,6 +384,9 @@ def sosp_probe(problem, V, trials, rng):
     return SOSPCertificate(min_quadform=qmin, factor_rank=rank)
 
 
+REFERENCE_MAX_N = 512
+
+
 def reference_rank(N):
     """Factor width making the rank-deficiency guarantee hold with margin."""
     return math.ceil(math.sqrt(2 * N)) + 1
@@ -416,8 +400,8 @@ def reference_sdp_solve(problem, rng):
     generically do not exist; each start runs at most 50,000 steps.  Returns
     the best (value, factor) over the starts.
     """
-    if problem.dim > 512:
-        raise ValueError("reference solver limited to N <= 512")
+    if problem.dim > REFERENCE_MAX_N:
+        raise ValueError(f"reference solver limited to N <= {REFERENCE_MAX_N}")
     p = reference_rank(problem.dim)
     best = None
     for s in range(3):

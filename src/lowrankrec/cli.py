@@ -153,6 +153,8 @@ def _cmd_solve(args):
             prob = sync_cost(inst)
         else:
             raise ValueError("bm expects a phase retrieval or synchronization instance")
+        if args.p > prob.dim:
+            raise ValueError(f"--p must be <= N = {prob.dim}, got {args.p}")
         V, report = riemannian_gd(prob, args.p, rng, **cap)
         est = round_factor(prob, V)
         out = _report_dict(report)

@@ -16,8 +16,8 @@ import numpy as np
 
 # opnorm_estimate is unused here but stays importable: perfbench/bench.py
 # wraps harness.opnorm_estimate by name in its traced runs
-from .burer_monteiro import (opnorm_estimate, phasecut_cost, reference_rank,  # noqa: F401
-                             reference_sdp_solve, riemannian_gd, round_factor)
+from .burer_monteiro import (REFERENCE_MAX_N, opnorm_estimate, phasecut_cost,  # noqa: F401
+                             reference_rank, reference_sdp_solve, riemannian_gd, round_factor)
 from .errors import RankDeficient
 from .landscape import basin_map, displacement_probe
 from .numerics import RngStream, sample_gaussian
@@ -73,6 +73,12 @@ def _check_sampled(what, m, n):
         raise ValueError(f"{what} needs m >= n measurements, got m={m}, n={n}")
 
 
+def _check_min_n(what, n):
+    """n = 1 has no relative phase to synchronize and no direction tangent to the signal."""
+    if n < 2:
+        raise ValueError(f"{what} needs n >= 2, got {n}")
+
+
 def _fmt(v):
     if isinstance(v, bool):
         return "1" if v else "0"
@@ -121,8 +127,8 @@ def run_fig1(*, seed=0, n=40, mn_grid=(2.0, 2.5, 3.0, 3.5, 4.0, 4.5, 5.0, 5.5, 6
     _check_names("algos", algos, ("ap", "phasecut"))
     _check_ratios(mn_grid)
     if "phasecut" in algos:
-        _check_values("mn_grid", mn_grid, lambda r: round(r * n) <= 512,
-                      "phasecut's reference solver needs m <= 512")
+        _check_values("mn_grid", mn_grid, lambda r: round(r * n) <= REFERENCE_MAX_N,
+                      f"phasecut's reference solver needs m <= {REFERENCE_MAX_N}")
     rows = []
     for algo in algos:
         for gi, ratio in enumerate(mn_grid):
@@ -148,6 +154,7 @@ def run_fig3(*, seed=0, n=400, m=None, d_grid=(0.0025, 0.01, 0.025, 0.05, 0.075,
     m defaults to 10n.
     """
     _check_counts(n=n, m=m, pairs=pairs)
+    _check_min_n("fig3", n)
     _check_names("algos", algos, ("AP", "WF"))
     _check_values("d_grid", d_grid, lambda d: 0.0 < d < 2.0, "d must lie in (0, 2)")
     m = 10 * n if m is None else m
@@ -219,6 +226,7 @@ def run_basin(*, seed=0, n=20, m=None, grid=101, half_width=None, max_iter=2000,
     m defaults to 20n and half_width to 6 ||x||.
     """
     _check_counts(n=n, m=m, grid=grid, half_width=half_width, max_iter=max_iter)
+    _check_min_n("basin", n)
     m = 20 * n if m is None else m
     _check_sampled("basin", m, n)
     rng = RngStream(seed, (_TAG_BASIN,))
@@ -268,8 +276,7 @@ def run_sync(*, seed=0, n=200, sigma_grid=(0.0, 0.1, 0.2, 0.3, 0.5), max_iter=10
     Noise levels are given as fractions of sqrt(n / log n).
     """
     _check_counts(n=n, max_iter=max_iter)
-    if n < 2:
-        raise ValueError(f"sync needs n >= 2, got {n}")
+    _check_min_n("sync", n)
     _check_values("sigma_grid", sigma_grid, math.isfinite, "sigma must be finite")
     _check_values("sigma_grid", sigma_grid, lambda s: s >= 0.0, "sigma must be >= 0")
     scale = math.sqrt(n / math.log(n))

@@ -113,22 +113,6 @@ def dominant_eigenvector(H, rng, tol=1e-10, max_iter=20000):
 RANK_TOL = 1e-12
 
 
-def least_squares(B, y):
-    """Minimum of ||Bx - y|| for a full-column-rank B (m >= n).
-
-    Raises RankDeficient when the smallest singular value is not above
-    RANK_TOL times the largest (m < n always fails this test).
-    """
-    B = np.asarray(B)
-    y = np.asarray(y)
-    x, _, rank, s = np.linalg.lstsq(B, y, rcond=None)
-    if s.size == 0 or B.shape[0] < B.shape[1] or s[-1] <= RANK_TOL * s[0]:
-        raise RankDeficient(
-            f"matrix of shape {B.shape} is rank deficient (singular values {s[:3]}...)"
-        )
-    return x
-
-
 def qr_projector(B):
     """Thin QR of a full-column-rank B; Q Q* projects onto Range(B).
 
@@ -146,3 +130,8 @@ def qr_projector(B):
 def solve_from_qr(q, r, y):
     """x with B x = Q Q* y, given the thin QR of B (columns of y allowed)."""
     return np.linalg.solve(r, q.conj().T @ y)
+
+
+def least_squares(B, y):
+    """Minimum of ||Bx - y|| for a full-column-rank B, through qr_projector's thin QR."""
+    return solve_from_qr(*qr_projector(B), y)

@@ -67,7 +67,7 @@ def ap_iterate(q, b, Y, max_iter, tol, trace=False):
 def alternating_projections(instance, rng=None, max_iter=2000, y0=None):
     """Gerchberg-Saxton iteration y <- P_range(P_moduli(y)), see ap_iterate.
 
-    Starts from a Gaussian y0 in measurement space unless one is supplied.
+    Starts from y0, or else from a Gaussian in measurement space drawn from rng.
     The range projection is applied through a thin QR of the measurement
     matrix, which equals B @ least_squares(B, .) for full-column-rank B.
     residual_trace records || |y_t| - b || at the in-range iterates, which is
@@ -75,8 +75,6 @@ def alternating_projections(instance, rng=None, max_iter=2000, y0=None):
     """
     q, r = qr_projector(instance.matrix)
     if y0 is None:
-        if rng is None:
-            rng = RngStream(0)
         y0 = sample_gaussian(rng, instance.m, instance.field)
     Y, iterations, converged, residuals = ap_iterate(
         q, instance.moduli, np.asarray(y0)[:, None], max_iter, 1e-9, trace=True)

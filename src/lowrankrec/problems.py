@@ -210,7 +210,7 @@ def _get(d, key):
 
 def _dim(d, key):
     v = _get(d, key)
-    if not isinstance(v, int) or v < 1:
+    if isinstance(v, bool) or not isinstance(v, int) or v < 1:
         raise ValueError(f"instance field {key!r} must be a positive integer, got {v!r}")
     return v
 

@@ -348,6 +348,16 @@ class TestCLI:
         assert main(["solve", "bm", "--in", str(inst_path), "--p", "1"]) == 2
         assert "bm needs m >= n measurements, got m=4, n=8" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("gen, p, N", [
+        (["sync", "--n", "8"], "50", 8),
+        (["pr", "--n", "8", "--m", "48"], "60", 48),
+    ], ids=["sync", "pr"])
+    def test_solve_bm_width_above_n_exit_code(self, tmp_path, capsys, gen, p, N):
+        inst_path = tmp_path / "inst.json"
+        main(["gen", *gen, "--out", str(inst_path)])
+        assert main(["solve", "bm", "--in", str(inst_path), "--p", p]) == 2
+        assert f"--p must be <= N = {N}, got {p}" in capsys.readouterr().err
+
     def test_config_error_exit_code(self, tmp_path):
         # gen pr without --m is a configuration error
         rc = main(["gen", "pr", "--n", "8", "--out", str(tmp_path / "x.json")])
@@ -366,9 +376,14 @@ class TestCLI:
         assert rc == 2
 
     @pytest.mark.parametrize("n", ["1", "0"])
-    def test_sync_bench_too_few_nodes_exit_code(self, tmp_path, n):
-        rc = main(["bench", "sync", "--n", n, "--out", str(tmp_path / "x.csv")])
+    @pytest.mark.parametrize("figure", ["sync", "fig3", "basin"])
+    def test_sync_bench_too_few_nodes_exit_code(self, tmp_path, capsys, figure, n):
+        # n = 1 has no relative phase and no tangent plane to measure
+        rc = main(["bench", figure, "--n", n, "--out", str(tmp_path / "x.csv")])
         assert rc == 2
+        err = capsys.readouterr().err
+        assert (f"{figure} needs n >= 2, got 1" if n == "1" else "--n must be >= 1") in err
+        assert not (tmp_path / "x.csv").exists()
 
     def test_non_finite_instance_exit_code(self, tmp_path, capsys):
         inst_path = tmp_path / "sync.json"

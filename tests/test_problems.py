@@ -199,6 +199,9 @@ class TestSerialization:
         pytest.param(lambda d: d.update(field="real", matrix=[[[re, 0.0] for re, _ in row]
                                                               for row in d["matrix"]]),
                      "signal", id="signal-complex-in-real-field"),
+        # bool is an int subclass: true must not load as n = 1
+        pytest.param(lambda d: d.update(instance_to_dict(gen_phase_retrieval(
+            1, 3, "complex-gaussian", RngStream(36))), n=True), "n", id="n-bool"),
     ])
     def test_malformed_phase_retrieval_rejected(self, edit, field):
         d = instance_to_dict(gen_phase_retrieval(5, 12, "complex-gaussian", RngStream(35)))
