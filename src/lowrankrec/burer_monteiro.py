@@ -18,7 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FDInconsistent
-from .numerics import RngStream, hermitize, least_squares, qr_projector, sample_gaussian, torus_project
+# least_squares, qr_projector: unused, importable for perfbench/bench.py's by-name wrappers
+from .numerics import (RngStream, hermitize, least_squares, qr_projector,  # noqa: F401
+                       sample_gaussian, solve_from_qr, torus_project)
 from .problems import SolveReport
 
 
@@ -57,7 +59,7 @@ def phasecut_cost(instance):
     min_x sum_k |b_k u_k - <x, v_k>|^2, which pins the matrix on the
     constraint set.  Hermitian positive semidefinite by construction.
     """
-    q, _ = qr_projector(instance.matrix)   # raises RankDeficient if m < n etc.
+    q, _ = instance.qr   # raises RankDeficient if m < n etc.
     b = instance.moduli
     m = instance.m
     proj = q @ q.conj().T
@@ -162,10 +164,10 @@ def riemannian_gd(problem, p, rng, max_iter=20000, v0=None):
     threshold = 1e-10 * nrm * N
     V = random_factor(rng, N, p) if v0 is None else np.asarray(v0)
     if problem.instance is not None:
-        B, b = problem.instance.matrix, problem.instance.moduli
+        inst = problem.instance
         X, trace, iterations, converged = _vp_lm(
-            problem, least_squares(B, b[:, None] * V), max_iter, threshold)
-        V = _unit_rows(B @ X)
+            problem, solve_from_qr(*inst.qr, inst.moduli[:, None] * V), max_iter, threshold)
+        V = _unit_rows(inst.matrix @ X)
     else:
         V, trace, iterations, converged = _rgd(C, V, 0.5 / nrm, max_iter, threshold)
     report = SolveReport(
@@ -333,7 +335,7 @@ def round_factor(problem, V):
     z = torus_project(u)
     inst = problem.instance
     if inst is not None:
-        return least_squares(inst.matrix, inst.moduli * z)
+        return solve_from_qr(*inst.qr, inst.moduli * z)
     return z
 
 

@@ -52,19 +52,27 @@ def _check_counts(**counts):
                 raise ValueError(f"{_flag(name)} must be {need}, got {v}")
 
 
-def _check_values(name, values, ok, need):
-    """Reject the first entry of values failing ok, naming its flag."""
+def _check_values(name, values, ok, need, key=lambda v: v):
+    """Reject the first entry failing ok or repeating an earlier entry's key, naming its flag.
+
+    Each entry draws its own streams, so a repeat would write conflicting rows.
+    """
+    seen = set()
     for v in values:
         if not ok(v):
             raise ValueError(f"{_flag(name)}: {need}, got {v!r}")
+        if key(v) in seen:
+            raise ValueError(f"{_flag(name)}: repeats {key(v)} of an earlier entry, got {v!r}")
+        seen.add(key(v))
 
 
 def _check_names(name, values, allowed):
     _check_values(name, values, allowed.__contains__, f"unknown name, expected one of {allowed}")
 
 
-def _check_ratios(mn_grid):
-    _check_values("mn_grid", mn_grid, lambda r: 0.0 <= r < math.inf, "m/n must be finite and >= 0")
+def _check_ratios(mn_grid, n):
+    _check_values("mn_grid", mn_grid, lambda r: 0.0 <= r < math.inf, "m/n must be finite and >= 0",
+                  key=lambda r: f"m = {round(r * n)}")
 
 
 def _check_sampled(what, m, n):
@@ -125,10 +133,13 @@ def run_fig1(*, seed=0, n=40, mn_grid=(2.0, 2.5, 3.0, 3.5, 4.0, 4.5, 5.0, 5.5, 6
     """
     _check_counts(n=n, trials=trials, tau=tau, max_iter=max_iter)
     _check_names("algos", algos, ("ap", "phasecut"))
-    _check_ratios(mn_grid)
+    _check_ratios(mn_grid, n)
     if "phasecut" in algos:
         _check_values("mn_grid", mn_grid, lambda r: round(r * n) <= REFERENCE_MAX_N,
                       f"phasecut's reference solver needs m <= {REFERENCE_MAX_N}")
+        _check_values("mn_grid", mn_grid,
+                      lambda r: not (m := round(r * n)) or reference_rank(m) <= m,
+                      "phasecut's reference width ceil(sqrt(2m)) + 1 must be <= m")
     rows = []
     for algo in algos:
         for gi, ratio in enumerate(mn_grid):
@@ -196,12 +207,13 @@ def run_fig5(*, seed=0, n=32, mn_grid=(0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8
     """
     _check_counts(n=n, trials=trials, p_values=p_values, tau=tau, max_iter=max_iter)
     _check_names("ensembles", ensembles, ENSEMBLE_KINDS)
-    _check_ratios(mn_grid)
+    _check_ratios(mn_grid, n)
     if "structured-frame" in ensembles:
         haar_frame(n, 0)  # raises InvalidDimension unless n is a power of two
-    for m in sorted({int(round(r * n)) for r in mn_grid} - {0}):  # m = 0 runs nothing
-        _check_values("p_values", p_values, lambda p: _width(p, m) <= m,
-                      f"factor width must be <= m = {m}")
+    # m = 0 runs nothing; a width fitting the smallest other m fits every m
+    m = min({round(r * n) for r in mn_grid} - {0}, default=math.inf)
+    _check_values("p_values", p_values, lambda p: m == math.inf or _width(p, m) <= m,
+                  f"factor width must be <= m = {m}")
     rows = []
     for ki, kind in enumerate(ensembles):
         for pi, p in enumerate(p_values):

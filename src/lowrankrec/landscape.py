@@ -9,7 +9,8 @@ import math
 import numpy as np
 
 from .errors import FDInconsistent, MissingGroundTruth
-from .numerics import qr_projector, solve_from_qr
+# qr_projector is unused but stays importable: perfbench/bench.py wraps it by name
+from .numerics import qr_projector, solve_from_qr  # noqa: F401
 from .phase_retrieval import WF_STEP_SCALE, ap_iterate, project_modulus, wf_loss
 from .problems import dist_mod_phase
 
@@ -135,7 +136,7 @@ def displacement_probe(algorithm, instance, d, pairs, rng):
     Zp = Z + d * _unit_columns(U - Z)
 
     if algorithm == "AP":
-        q, r = qr_projector(B)
+        q, r = instance.qr
 
         def T(X):
             return solve_from_qr(q, r, project_modulus(B @ X, b[:, None]))
@@ -174,7 +175,7 @@ def basin_map(instance, center, dirs, half_width, grid, max_iter=2000):
     d1, d2 = np.asarray(dirs[0]), np.asarray(dirs[1])
     B = instance.matrix
     b = instance.moduli
-    q, r = qr_projector(B)
+    q, r = instance.qr
     ticks = np.linspace(-half_width, half_width, grid)
     A1, A2 = np.meshgrid(ticks, ticks, indexing="ij")
     P = (np.asarray(center)[:, None]

@@ -116,7 +116,7 @@ RANK_TOL = 1e-12
 def qr_projector(B):
     """Thin QR of a full-column-rank B; Q Q* projects onto Range(B).
 
-    Used by the iterative solvers so the projection is factored once.
+    Solvers read it from PhaseRetrievalInstance.qr: one factorization per B.
     """
     B = np.asarray(B)
     m, n = B.shape

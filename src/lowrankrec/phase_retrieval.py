@@ -4,8 +4,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .numerics import (RngStream, dominant_eigenvector, hermitize, qr_projector, sample_gaussian,
-                       solve_from_qr, torus_project)
+# qr_projector is unused but stays importable: perfbench/bench.py wraps it by name
+from .numerics import (RngStream, dominant_eigenvector, hermitize, qr_projector,  # noqa: F401
+                       sample_gaussian, solve_from_qr, torus_project)
 from .problems import SolveReport, rel_error_mod_phase
 
 _SPECTRAL_SEED = 0x1A57  # fixed internal stream: solvers are deterministic given the instance
@@ -68,12 +69,12 @@ def alternating_projections(instance, rng=None, max_iter=2000, y0=None):
     """Gerchberg-Saxton iteration y <- P_range(P_moduli(y)), see ap_iterate.
 
     Starts from y0, or else from a Gaussian in measurement space drawn from rng.
-    The range projection is applied through a thin QR of the measurement
-    matrix, which equals B @ least_squares(B, .) for full-column-rank B.
+    The range projection is applied through the instance's thin QR of B,
+    which equals B @ least_squares(B, .) for full-column-rank B.
     residual_trace records || |y_t| - b || at the in-range iterates, which is
     non-increasing.  Stops when the relative iterate change drops below 1e-9.
     """
-    q, r = qr_projector(instance.matrix)
+    q, r = instance.qr
     if y0 is None:
         y0 = sample_gaussian(rng, instance.m, instance.field)
     Y, iterations, converged, residuals = ap_iterate(

@@ -15,11 +15,12 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import InvalidDimension
-from .numerics import hermitize, sample_gaussian
+from .numerics import hermitize, qr_projector, sample_gaussian
 
 ENSEMBLE_KINDS = ("complex-gaussian", "real-gaussian", "structured-frame")
 
@@ -42,6 +43,11 @@ class PhaseRetrievalInstance:
     @property
     def m(self):
         return self.matrix.shape[0]
+
+    @cached_property
+    def qr(self):
+        """Thin QR (q, r) of B, factored on first use; a rank-deficient B raises on every access."""
+        return qr_projector(self.matrix)
 
 
 @dataclass(frozen=True)

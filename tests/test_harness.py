@@ -275,9 +275,32 @@ class TestCLI:
          "--p: factor width must be <= m = 4, got 5"),
         (["fig5", "--n", "1", "--mn-grid", "1", "--p", "ref", "--trials", "1"], "riemannian_gd",
          "--p: factor width must be <= m = 1, got 'ref'"),
+        # m = 0 passes; m = 2 is below the reference width ceil(sqrt(4)) + 1 = 3
+        (["fig1", "--n", "2", "--mn-grid", "0,3,1", "--trials", "1", "--algos", "phasecut"],
+         "reference_sdp_solve",
+         "--mn-grid: phasecut's reference width ceil(sqrt(2m)) + 1 must be <= m, got 1.0"),
+        (["fig1", "--n", "8", "--mn-grid", "3", "--trials", "1", "--algos", "ap,ap"], "_ap_trial",
+         "--algos: repeats ap of an earlier entry, got 'ap'"),
+        (["fig1", "--n", "40", "--mn-grid", "2,2.01", "--trials", "1"], "_ap_trial",
+         "--mn-grid: repeats m = 80 of an earlier entry, got 2.01"),
+        (["fig5", "--n", "2", "--mn-grid", "2,2", "--p", "1", "--trials", "3",
+          "--ensemble", "complex-gaussian"], "riemannian_gd",
+         "--mn-grid: repeats m = 4 of an earlier entry, got 2.0"),
+        (["fig5", "--n", "2", "--mn-grid", "0,2", "--p", "1,1", "--trials", "3",
+          "--ensemble", "complex-gaussian"], "riemannian_gd",
+         "--p: repeats 1 of an earlier entry, got 1"),
+        (["fig5", "--n", "8", "--mn-grid", "3", "--p", "1", "--trials", "1",
+          "--ensemble", "complex-gaussian,complex-gaussian"], "riemannian_gd",
+         "--ensemble: repeats complex-gaussian of an earlier entry, got 'complex-gaussian'"),
+        (["fig3", "--n", "8", "--d-grid", "0.01,0.01", "--pairs", "2"], "displacement_probe",
+         "--d-grid: repeats 0.01 of an earlier entry, got 0.01"),
+        (["sync", "--n", "10", "--sigma", "0,0.1,0"], "gpm",
+         "--sigma: repeats 0.0 of an earlier entry, got 0.0"),
     ], ids=["fig3-d", "fig5-frame-size", "sync-sigma", "fig1-nan", "fig1-inf", "fig5-negative",
             "sync-sigma-inf", "fig1-phasecut-size-ap", "fig1-phasecut-size-ref", "fig5-p-above-m",
-            "fig5-ref-above-m"])
+            "fig5-ref-above-m", "fig1-phasecut-ref-width", "fig1-repeat-algos", "fig1-repeat-m",
+            "fig5-repeat-m", "fig5-repeat-p", "fig5-repeat-ensemble", "fig3-repeat-d",
+            "sync-repeat-sigma"])
     def test_bad_grid_value_fails_before_any_trial(self, tmp_path, monkeypatch, capsys,
                                                    argv, trial, need):
         calls = []
@@ -433,3 +456,26 @@ class TestBenchmarkHooks:
         assert originals
         for (_, attr), (mod, fn) in originals.items():
             assert getattr(mod, attr) is fn
+
+
+class TestFactorizationCount:
+    @pytest.mark.parametrize("run", [
+        lambda: run_fig5(n=4, mn_grid=(4.0,), trials=1, ensembles=("complex-gaussian",),
+                         p_values=(2,)),
+        lambda: run_fig1(n=4, mn_grid=(3.0,), trials=1, algos=("phasecut",)),
+        lambda: run_fig3(n=8, pairs=3),
+        lambda: run_fig1(n=8, mn_grid=(4.0,), trials=1),
+        lambda: run_basin(n=4, grid=3),
+    ], ids=["fig5-trial", "fig1-phasecut-trial", "fig3-default-grid", "fig1-ap-trial", "basin"])
+    def test_one_qr_per_instance(self, monkeypatch, run):
+        # each run builds one instance; every reader of its thin QR shares one factorization
+        calls = []
+        qr = np.linalg.qr
+
+        def counting_qr(a, *args, **kwargs):
+            calls.append(a.shape)
+            return qr(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "qr", counting_qr)
+        run()
+        assert len(calls) == 1
