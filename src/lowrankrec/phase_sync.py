@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonConvergence, NumericFailure
-from .numerics import RngStream, dominant_eigenvector, sample_gaussian, torus_project
+from .numerics import RngStream, dominant_eigenvector, torus_project
 from .problems import SolveReport, dist_mod_phase
 
 _INIT_SEED = 0x6E37  # fixed internal stream: gpm is deterministic given the instance
@@ -112,26 +112,40 @@ def _aux_matvec(C, W, Z):
     """Columnwise C^(k) @ Z[:, k] for all k without materializing the C^(k).
 
     C^(k) differs from C by zeroing the k-th row and column of the noise:
-    C^(k) z = C z - e_k <W_:,k, z> - W_:,k z_k.
+    C^(k) z = C z - e_k <W_:,k, z> - W_:,k z_k.  A single column Z stands for
+    n equal columns, and C @ Z is then one matrix-vector product.
     """
     M = C @ Z
+    if Z.shape[1] == 1:
+        M = np.repeat(M, W.shape[1], axis=1)
+        Z = np.broadcast_to(Z, M.shape)
     d = np.einsum("ij,ij->j", W.conj(), Z)
     M[np.arange(Z.shape[0]), np.arange(Z.shape[1])] -= d
     M -= W * np.diagonal(Z)[None, :]
     return M
 
 
-def _aux_principal(C, W, max_iter=50_000):
-    """Batched power iteration: column k converges to the principal vector of C^(k)."""
-    n = C.shape[0]
-    V = sample_gaussian(RngStream(_INIT_SEED, (1,)), n * n, "complex").reshape(n, n)
-    V /= np.linalg.norm(V, axis=0)
+def _aux_principal(C, W, v, max_iter=50_000):
+    """Batched power iteration: column k converges to the principal vector of C^(k).
+
+    Every column starts at v, gpm's start vector (the principal vector of C),
+    so the first product is one matrix-vector product.  Returns (V, M) with
+    M[:, k] = C^(k) V[:, k]: the last power product, which is also the first
+    lockstep GPM step.  The iteration is unshifted, so a column whose C^(k)
+    has a negative eigenvalue dominant in modulus converges to it; that is
+    raised as NonConvergence, as is a residual above tol after max_iter.
+    """
+    V = v[:, None]
     for _ in range(max_iter):
         M = _aux_matvec(C, W, V)
         lam = np.real(np.einsum("ij,ij->j", V.conj(), M))
         res = np.linalg.norm(M - V * lam[None, :], axis=0)
         if np.all(res <= 1e-9 * (1.0 + np.abs(lam))):
-            return V
+            k = int(np.argmin(lam))
+            if lam[k] <= 0.0:
+                raise NonConvergence(f"leave-one-out power iteration: column {k} converged "
+                                     f"to eigenvalue {lam[k]:.6g} <= 0, not the top one")
+            return np.broadcast_to(V, M.shape), M
         V = M / np.linalg.norm(M, axis=0)
     raise NonConvergence(f"leave-one-out power iteration residual {res.max():.3e} "
                          f"above tol after {max_iter} iterations")
@@ -141,14 +155,17 @@ def loo_run(instance, history):
     """The n leave-one-out sequences, in lockstep with gpm's iterates z_0 ... z_T.
 
     Each auxiliary sequence starts from the principal eigenvector of its own
-    modified observation matrix and takes one GPM step per main step.
+    modified observation matrix, found by power iteration from gpm's start
+    vector z_0, and takes one GPM step per main step.  The last power product
+    is the first lockstep step.
     """
     C = instance.observations
     W = instance.noise
-    Z = _aux_principal(C, W)
+    M = _aux_principal(C, W, history[0])[1]
     max_dist, corr_main, corr_aux = [], [], []
-    for z in history[1:]:
-        M = _aux_matvec(C, W, Z)
+    for t, z in enumerate(history[1:]):
+        if t:
+            M = _aux_matvec(C, W, Z)
         Z = torus_project(M)
         ip = np.abs(z.conj() @ Z)  # |<z, Z_:,k>| per column
         nz2 = float(np.real(np.vdot(z, z)))

@@ -381,6 +381,17 @@ class TestCLI:
         assert main(["solve", "bm", "--in", str(inst_path), "--p", p]) == 2
         assert f"--p must be <= N = {N}, got {p}" in capsys.readouterr().err
 
+    def test_sync_loo_negative_eigenvalue_exit_code(self, tmp_path, capsys):
+        # at sigma = 3 sqrt(n/log n) one leave-one-out matrix of this instance
+        # has a negative eigenvalue dominant in modulus: a numeric failure,
+        # and no CSV is written
+        out = tmp_path / "s.csv"
+        rc = main(["bench", "sync", "--n", "60", "--sigma", "3", "--seed", "6", "--loo",
+                   "--out", str(out)])
+        assert rc == 3
+        assert "column 19 converged to eigenvalue -164.39" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_config_error_exit_code(self, tmp_path):
         # gen pr without --m is a configuration error
         rc = main(["gen", "pr", "--n", "8", "--out", str(tmp_path / "x.json")])

@@ -152,8 +152,10 @@ class TestLeaveOneOut:
         inst = gen_sync(30, 0.0, RngStream(15))
         diag = loo_run(inst, gpm(inst, max_iter=50)[1])
         assert diag.iterations >= 1
-        # the distance is computed through inner products, so machine noise
-        # shows up at the sqrt(eps) scale
+        # every auxiliary column starts at gpm's start vector and, without
+        # noise, C^(k) = C, so the sequences agree with the main one; the
+        # distance goes through inner products, where any rounding difference
+        # would show at the sqrt(eps) scale
         assert np.allclose(diag.max_dist_aux, 0.0, atol=1e-6)
         assert np.allclose(diag.max_corr_main, 0.0, atol=1e-12)
         assert np.allclose(diag.max_corr_aux, 0.0, atol=1e-12)
@@ -194,18 +196,50 @@ class TestLeaveOneOut:
     def test_aux_principal_non_convergence_raised(self):
         inst = gen_sync(20, 0.3, RngStream(20))
         with pytest.raises(NonConvergence):
-            _aux_principal(inst.observations, inst.noise, max_iter=1)
+            _aux_principal(inst.observations, inst.noise, _principal_vector(inst.observations),
+                           max_iter=1)
+
+    def test_aux_principal_is_top_eigenvector_of_each_dense_matrix(self):
+        n = 12
+        inst = gen_sync(n, 0.3 * sigma_scale(n), RngStream(21))
+        C, W = inst.observations, inst.noise
+        V, M = _aux_principal(C, W, _principal_vector(C))
+        for k in range(n):
+            Ck = dense_aux_matrix(C, W, k)
+            u = np.linalg.eigh(Ck)[1][:, -1]
+            assert dist_mod_phase(V[:, k], u) < 1e-8
+            assert np.allclose(M[:, k], Ck @ V[:, k], rtol=0.0, atol=1e-12 * np.abs(Ck).sum())
+
+    def test_aux_principal_negative_dominant_eigenvalue_raised(self):
+        # at this noise one C^(k) has a negative eigenvalue larger in modulus
+        # than its top one; the unshifted iteration converges to it there
+        n = 60
+        inst = gen_sync(n, 5.0 * sigma_scale(n), RngStream(7))
+        C, W = inst.observations, inst.noise
+        with pytest.raises(NonConvergence, match=r"column 30 converged to eigenvalue -261\.6"):
+            _aux_principal(C, W, _principal_vector(C))
+        w = np.linalg.eigvalsh(dense_aux_matrix(C, W, 30))
+        assert -w[0] > w[-1] > 0
+
+
+def dense_aux_matrix(C, W, k):
+    """C^(k): the observations rebuilt with the k-th row and column of the noise zeroed."""
+    Wk = W.copy()
+    Wk[k, :] = 0.0
+    Wk[:, k] = 0.0
+    return C - W + Wk
 
 
 def lockstep_reference(inst, max_iter, tol):
     """The main GPM sequence recomputed beside the auxiliary ones, step for step."""
     C, W = inst.observations, inst.noise
     z = _principal_vector(C)
-    Z = _aux_principal(C, W)
+    M = _aux_principal(C, W, z)[1]
     max_dist, corr_main, corr_aux = [], [], []
-    for _ in range(max_iter):
+    for t in range(max_iter):
         p = torus_project(C @ z)
-        M = _aux_matvec(C, W, Z)
+        if t:
+            M = _aux_matvec(C, W, Z)
         P = torus_project(M)
         if float(np.linalg.norm(p - z)) < tol:
             break
