@@ -328,12 +328,16 @@ def round_factor(problem, V):
     Takes the dominant eigenvector of V V* scaled by the square root of its
     eigenvalue (the top left singular pair of V), projects it to unit moduli,
     and for phase-retrieval problems lifts the phases back to signal space
-    through a least-squares solve.
+    through a least-squares solve.  On a real instance it rounds Re(V V*),
+    the Gram matrix of [Re V, Im V], instead: an optimal point of the real
+    SDP whenever V V* is optimal, whose rounding is a real, signed estimate.
     """
-    U, S, _ = np.linalg.svd(np.asarray(V), full_matrices=False)
-    u = U[:, 0] * S[0]
-    z = torus_project(u)
+    V = np.asarray(V)
     inst = problem.instance
+    if inst is not None and inst.field == "real":
+        V = np.hstack((V.real, V.imag))
+    U, S, _ = np.linalg.svd(V, full_matrices=False)
+    z = torus_project(U[:, 0] * S[0])
     if inst is not None:
         return solve_from_qr(*inst.qr, inst.moduli * z)
     return z

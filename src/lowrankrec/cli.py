@@ -56,23 +56,33 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_gen = sub.add_parser("gen", help="generate an instance file (JSON)")
-    p_gen.add_argument("what", choices=("pr", "sync"))
-    p_gen.add_argument("--n", type=int, required=True)
-    p_gen.add_argument("--m", type=int)
-    p_gen.add_argument("--ensemble", default="complex-gaussian", choices=ENSEMBLE_KINDS)
-    p_gen.add_argument("--sigma", type=float, default=0.0)
-    p_gen.add_argument("--seed", type=int, default=0)
-    p_gen.add_argument("--out", required=True)
+    # each gen and solve target parses only the flags it reads, so argparse
+    # rejects any other (exit 2) before a file is read or written
+    gen = sub.add_parser("gen", help="generate an instance file (JSON)").add_subparsers(
+        dest="what", required=True)
+    for what in ("pr", "sync"):
+        p = gen.add_parser(what)
+        p.add_argument("--n", type=int, required=True)
+        if what == "pr":
+            p.add_argument("--m", type=int)
+            p.add_argument("--ensemble", default="complex-gaussian", choices=ENSEMBLE_KINDS)
+        else:
+            p.add_argument("--sigma", type=float, default=0.0)
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--out", required=True)
 
-    p_solve = sub.add_parser("solve", help="run one solver on an instance file")
-    p_solve.add_argument("solver", choices=("ap", "wf", "gpm", "bm"))
-    p_solve.add_argument("--in", dest="infile", required=True)
-    p_solve.add_argument("--seed", type=int, default=0)
-    p_solve.add_argument("--p", type=int, default=2, help="factor width for bm")
-    p_solve.add_argument("--tau", type=float, default=1e-3)
-    p_solve.add_argument("--max-iter", type=int, default=None)
-    p_solve.add_argument("--out", help="write the JSON report here instead of stdout")
+    solve = sub.add_parser("solve", help="run one solver on an instance file").add_subparsers(
+        dest="solver", required=True)
+    for solver in ("ap", "wf", "gpm", "bm"):
+        p = solve.add_parser(solver)
+        p.add_argument("--in", dest="infile", required=True)
+        if solver in ("ap", "bm"):
+            p.add_argument("--seed", type=int, default=0)
+        if solver == "bm":
+            p.add_argument("--p", type=int, default=2, help="factor width")
+        p.add_argument("--tau", type=float, default=1e-3)
+        p.add_argument("--max-iter", type=int, default=None)
+        p.add_argument("--out", help="write the JSON report here instead of stdout")
 
     # every bench dest is a runner parameter, and an omitted flag is not
     # passed, so the runner's signature holds the figure's defaults
@@ -103,7 +113,7 @@ def build_parser():
 
 
 def _cmd_gen(args):
-    _check_counts(n=args.n, m=args.m)
+    _check_counts(n=args.n, m=getattr(args, "m", None))
     rng = RngStream(args.seed)
     if args.what == "pr":
         if args.m is None:
@@ -126,9 +136,8 @@ def _report_dict(report):
 
 
 def _cmd_solve(args):
-    _check_counts(max_iter=args.max_iter, p=args.p, tau=args.tau)
+    _check_counts(max_iter=args.max_iter, p=getattr(args, "p", None), tau=args.tau)
     inst = load_instance(args.infile)
-    rng = RngStream(args.seed)
     # without --max-iter each solver keeps its own cap
     cap = {} if args.max_iter is None else {"max_iter": args.max_iter}
     if args.solver in ("ap", "wf"):
@@ -136,7 +145,7 @@ def _cmd_solve(args):
             raise ValueError(f"{args.solver} expects a phase retrieval instance")
         if args.solver == "ap":
             _check_sampled("ap", inst.m, inst.n)
-            report = alternating_projections(inst, rng, **cap)
+            report = alternating_projections(inst, RngStream(args.seed), **cap)
         else:
             report = wirtinger_flow(inst, **cap)
         out = _report_dict(report)
@@ -155,7 +164,7 @@ def _cmd_solve(args):
             raise ValueError("bm expects a phase retrieval or synchronization instance")
         if args.p > prob.dim:
             raise ValueError(f"--p must be <= N = {prob.dim}, got {args.p}")
-        V, report = riemannian_gd(prob, args.p, rng, **cap)
+        V, report = riemannian_gd(prob, args.p, RngStream(args.seed), **cap)
         est = round_factor(prob, V)
         out = _report_dict(report)
         out["final_residual"] = float(np.linalg.norm(riemannian_grad(prob, V)))

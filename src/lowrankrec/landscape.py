@@ -1,17 +1,15 @@
 """Closed-form expected-landscape quantities for the quartic phase retrieval
-loss, empirical curvature probes, the one-step displacement experiment and
-attraction-basin maps for alternating projections."""
+loss, the one-step displacement experiment and attraction-basin maps for
+alternating projections."""
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-from .errors import FDInconsistent, MissingGroundTruth
+from .errors import MissingGroundTruth
 # qr_projector is unused but stays importable: perfbench/bench.py wraps it by name
 from .numerics import qr_projector, solve_from_qr  # noqa: F401
-from .phase_retrieval import WF_STEP_SCALE, ap_iterate, project_modulus, wf_loss
+from .phase_retrieval import WF_STEP_SCALE, ap_iterate, project_modulus
 from .problems import dist_mod_phase
 
 
@@ -48,58 +46,6 @@ def expected_hess_form(x, x_s, h):
     re_xh = float(np.real(np.vdot(x, h)))
     ip_sh = abs(complex(np.vdot(x_s, h)))
     return 2.0 * ((2.0 * nx2 - ns2) * nh2 + 4.0 * re_xh ** 2 - ip_sh ** 2)
-
-
-def classify_critical(x, x_s, tol=1e-8):
-    """Which expected-landscape critical set x belongs to, as a tag.
-
-    "solution" (the global minimizers, by distance mod phase), "origin" (the
-    strict local maximum at 0, by norm), "ring" (the orthogonal saddle circle:
-    orthogonal to x_s at radius ||x_s||/sqrt(2)), checked in that order, or
-    "none".
-    """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    ns = float(np.linalg.norm(x_s))
-    if dist_mod_phase(x, x_s) <= tol * ns:
-        return "solution"
-    nx = float(np.linalg.norm(x))
-    if nx <= tol * ns:
-        return "origin"
-    if abs(complex(np.vdot(x_s, x))) <= tol * ns ** 2 and abs(nx - ns / math.sqrt(2.0)) <= tol * ns:
-        return "ring"
-    return "none"
-
-
-def curvature_probe(instance, x, tol_fd=0.05):
-    """Empirical second directional derivative of the sample loss along x_true.
-
-    Central differences at two step sizes; the two estimates must agree to
-    tol_fd relative or FDInconsistent is raised.  Returns the smaller-step
-    estimate.  Concentrates, for x on the orthogonal ring, towards
-    -2 ||x_true||^4 as the number of measurements grows.
-    """
-    if instance.x_true is None:
-        raise MissingGroundTruth("curvature probe requires a ground-truth signal")
-    x_s = instance.x_true
-    x = np.asarray(x)
-    ns = float(np.linalg.norm(x_s))
-    base = 1e-2 * max(1.0, float(np.linalg.norm(x)) / max(ns, 1e-300))
-
-    def second_diff(eps):
-        f_p = wf_loss(instance, x + eps * x_s)
-        f_m = wf_loss(instance, x - eps * x_s)
-        f_0 = wf_loss(instance, x)
-        return (f_p - 2.0 * f_0 + f_m) / eps ** 2
-
-    d1 = second_diff(base)
-    d2 = second_diff(base / 2.0)
-    scale = max(abs(d1), abs(d2), 1e-12 * ns ** 4)
-    if abs(d1 - d2) > tol_fd * scale:
-        raise FDInconsistent(
-            f"second-difference estimates disagree: {d1:.6e} vs {d2:.6e}"
-        )
-    return d2
 
 
 def _unit_columns(a):

@@ -1,8 +1,12 @@
 import argparse
+import ast
 import importlib.util
 import inspect
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -172,6 +176,27 @@ class TestCLI:
         assert isinstance(report["final_residual"], float)
         assert math.isfinite(report["final_residual"])
 
+    def test_solve_bm_real_gaussian(self, tmp_path):
+        # a real instance is rounded to a real, signed estimate
+        inst_path = tmp_path / "real.json"
+        assert main(["gen", "pr", "--n", "8", "--m", "64", "--ensemble", "real-gaussian",
+                     "--seed", "3", "--out", str(inst_path)]) == 0
+        rep_path = tmp_path / "bm.json"
+        assert main(["solve", "bm", "--in", str(inst_path), "--p", "2",
+                     "--out", str(rep_path)]) == 0
+        report = json.loads(read(rep_path))
+        assert report["success"] is True
+        assert report["rel_error_mod_phase"] < 1e-6
+
+    def test_bench_fig5_real_gaussian_rates(self, tmp_path):
+        out = tmp_path / "f5.csv"
+        assert main(["bench", "fig5", "--n", "8", "--mn-grid", "6,8", "--trials", "10",
+                     "--ensemble", "real-gaussian,complex-gaussian", "--p", "1,2",
+                     "--out", str(out)]) == 0
+        rows = [line.split(",") for line in read(out).decode().strip().split("\n")[1:]]
+        assert len(rows) == 8
+        assert all(float(row[5]) >= 0.9 for row in rows), rows
+
     def test_gen_solve_sync(self, tmp_path):
         inst_path = tmp_path / "sync.json"
         assert main(["gen", "sync", "--n", "30", "--sigma", "0.3", "--seed", "2",
@@ -238,6 +263,28 @@ class TestCLI:
         err = capsys.readouterr().err
         assert all(flag in err for flag in ("--loo", "--pairs", "--sigma"))
         assert not csv_path.exists()
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["gen", "pr", "--n", "8", "--m", "32", "--sigma", "0.7"], "--sigma"),
+        (["gen", "sync", "--n", "10", "--m", "5"], "--m"),
+        (["gen", "sync", "--n", "10", "--ensemble", "structured-frame"], "--ensemble"),
+        (["solve", "ap", "--p", "2"], "--p"),
+        (["solve", "wf", "--p", "5"], "--p"),
+        (["solve", "wf", "--seed", "3"], "--seed"),
+        (["solve", "gpm", "--p", "5"], "--p"),
+        (["solve", "gpm", "--seed", "3"], "--seed"),
+    ], ids=["gen-pr-sigma", "gen-sync-m", "gen-sync-ensemble", "ap-p", "wf-p", "wf-seed",
+            "gpm-p", "gpm-seed"])
+    def test_gen_solve_unread_flag_exit_code(self, tmp_path, capsys, argv, flag):
+        # rejected while parsing: the missing instance file is never opened
+        # and nothing is written
+        out = tmp_path / "out.json"
+        io = ["--in", str(tmp_path / "missing.json")] if argv[0] == "solve" else []
+        with pytest.raises(SystemExit) as exc:
+            main(argv + io + ["--out", str(out)])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("argv, trial", [
         (["fig1", "--n", "8", "--mn-grid", "3", "--trials", "2", "--algos", "ap,xx"], "_ap_trial"),
@@ -330,7 +377,9 @@ class TestCLI:
     def test_gen_ensembles_are_the_library_kinds(self):
         sub = next(a for a in build_parser()._actions
                    if isinstance(a, argparse._SubParsersAction))
-        ensemble = next(a for a in sub.choices["gen"]._actions if a.dest == "ensemble")
+        gen = next(a for a in sub.choices["gen"]._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        ensemble = next(a for a in gen.choices["pr"]._actions if a.dest == "ensemble")
         assert ensemble.choices is ENSEMBLE_KINDS
 
     def test_bench_flags_match_runner_parameters(self):
@@ -449,15 +498,23 @@ class TestCLI:
         assert main(["solve", "bm", "--in", str(inst_path), "--p", "1"]) == 3
 
 
+REPO = Path(__file__).resolve().parent.parent
+
+
+@pytest.fixture
+def bench(monkeypatch):
+    """perfbench/bench.py, loaded as a module."""
+    monkeypatch.syspath_prepend(str(REPO / "perfbench"))
+    spec = importlib.util.spec_from_file_location("perfbench_bench", REPO / "perfbench" / "bench.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 class TestBenchmarkHooks:
-    def test_perfbench_wrapped_names_resolve(self, monkeypatch):
+    def test_perfbench_wrapped_names_resolve(self, bench):
         # perfbench/bench.py wraps library functions by module attribute name;
         # installing its traced probe fails if any of those names is gone
-        bench_dir = Path(__file__).resolve().parent.parent / "perfbench"
-        monkeypatch.syspath_prepend(str(bench_dir))
-        spec = importlib.util.spec_from_file_location("perfbench_bench", bench_dir / "bench.py")
-        bench = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(bench)
         probe = bench.Probe()
         bench.install(probe, lowrankrec, traced=True)
         originals = {}
@@ -467,6 +524,51 @@ class TestBenchmarkHooks:
         assert originals
         for (_, attr), (mod, fn) in originals.items():
             assert getattr(mod, attr) is fn
+
+
+class TestImports:
+    def test_unused_imports_are_perfbench_wrapped(self, bench):
+        # an import its module never reads is flagged, unless it carries
+        # `# noqa: F401` and perfbench's traced probe wraps it in that module
+        probe = bench.Probe()
+        bench.install(probe, lowrankrec, traced=True)
+        wrapped = {(mod.__name__, attr) for mod, attr, _ in probe._restore}
+        probe.unwrap()
+        unused, unwrapped = [], []
+        for path in sorted((REPO / "src" / "lowrankrec").glob("*.py")):
+            text = path.read_text(encoding="utf-8")
+            tree = ast.parse(text)
+            lines = text.splitlines()
+            read_names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+            for node in ast.walk(tree):
+                if not isinstance(node, (ast.Import, ast.ImportFrom)) or (
+                        isinstance(node, ast.ImportFrom) and node.module == "__future__"):
+                    continue
+                exempt = "# noqa: F401" in " ".join(lines[node.lineno - 1:node.end_lineno])
+                for alias in node.names:
+                    name = (alias.asname or alias.name).split(".")[0]
+                    where = (f"lowrankrec.{path.stem}", name)
+                    if name in read_names:
+                        continue
+                    if not exempt:
+                        unused.append(where)
+                    elif where not in wrapped:
+                        unwrapped.append(where)
+        assert unused == []
+        assert unwrapped == []
+
+    def test_cli_import_binds_the_wrapped_modules(self):
+        # perfbench imports `lowrankrec, lowrankrec.cli` in a fresh process and
+        # reads the modules it wraps as attributes of the package, which the
+        # package's own __init__ does not import
+        code = ("import lowrankrec, lowrankrec.cli; print(lowrankrec.__file__); print(' '.join("
+                "m for m in ('harness', 'phase_retrieval', 'burer_monteiro', 'phase_sync', "
+                "'landscape') if not hasattr(lowrankrec, m)))")
+        env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+        out = subprocess.run([sys.executable, "-c", code], env=env, cwd=REPO,
+                             capture_output=True, text=True, check=True).stdout.split("\n")
+        assert Path(out[0]).resolve() == REPO / "src" / "lowrankrec" / "__init__.py"
+        assert out[1] == ""
 
 
 class TestFactorizationCount:

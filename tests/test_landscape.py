@@ -1,18 +1,13 @@
-import dataclasses
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lowrankrec import harness, landscape
-from lowrankrec.errors import MissingGroundTruth
 from lowrankrec.harness import run_basin
 from lowrankrec.landscape import (
     _solution_first,
     basin_map,
-    classify_critical,
-    curvature_probe,
     displacement_probe,
     expected_grad,
     expected_hess_form,
@@ -145,60 +140,6 @@ class TestExpectedHessForm:
         h = sample_gaussian(rng.split(2), 5, "complex")
         assert expected_hess_form(x, x_s, h) == pytest.approx(
             expected_hess_form(x, x_s, -h), rel=1e-12)
-
-
-class TestClassifyCritical:
-    def test_tags(self):
-        x, x_s = ring_point()
-        assert classify_critical(x_s, x_s) == "solution"
-        assert classify_critical(np.exp(0.5j) * x_s, x_s) == "solution"
-        assert classify_critical(np.zeros(4), x_s) == "origin"
-        assert classify_critical(x, x_s) == "ring"
-        generic = np.array([1.0, 2.0, 3.0, 4.0], dtype=complex)
-        assert classify_critical(generic, x_s) == "none"
-
-    def test_tol_guard(self):
-        x, x_s = ring_point()
-        with pytest.raises(ValueError):
-            classify_critical(x, x_s, tol=0.0)
-
-
-class TestCurvatureProbe:
-    def test_ring_concentrates_to_formula(self):
-        inst = gen_phase_retrieval(20, 5000, "complex-gaussian", RngStream(21))
-        x_s = inst.x_true
-        ns = np.linalg.norm(x_s)
-        # exactly orthogonal point at radius ||x_s||/sqrt(2)
-        g = sample_gaussian(RngStream(22), 20, "complex")
-        g -= x_s * (np.vdot(x_s, g) / ns ** 2)
-        x = g * (ns / np.sqrt(2) / np.linalg.norm(g))
-        val = curvature_probe(inst, x)
-        assert val == pytest.approx(-2.0 * ns ** 4, rel=0.10)
-
-    def test_positive_at_solution(self):
-        inst = gen_phase_retrieval(8, 200, "complex-gaussian", RngStream(23))
-        assert curvature_probe(inst, inst.x_true) > -1e-9
-
-    def test_origin_matches_expected_form(self):
-        inst = gen_phase_retrieval(12, 5000, "complex-gaussian", RngStream(24))
-        x0 = np.zeros(12, dtype=complex)
-        val = curvature_probe(inst, x0)
-        ref = expected_hess_form(x0, inst.x_true, inst.x_true)
-        assert val < 0
-        assert val == pytest.approx(ref, rel=0.10)
-
-    def test_requires_truth(self):
-        inst = gen_phase_retrieval(4, 12, "complex-gaussian", RngStream(25))
-        blind = dataclasses.replace(inst, x_true=None)
-        with pytest.raises(MissingGroundTruth):
-            curvature_probe(blind, np.zeros(4, dtype=complex))
-
-    def test_inconsistent_steps_raise(self):
-        from lowrankrec.errors import FDInconsistent
-        inst = gen_phase_retrieval(6, 60, "complex-gaussian", RngStream(26))
-        x = sample_gaussian(RngStream(27), 6, "complex")
-        with pytest.raises(FDInconsistent):
-            curvature_probe(inst, x, tol_fd=1e-14)
 
 
 class TestDisplacementProbe:
