@@ -8,8 +8,10 @@ Exit codes: 0 success, 2 configuration error, 3 numeric failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import inspect
 import json
+import os
 import sys
 
 import numpy as np
@@ -48,7 +50,31 @@ def _parse_p_values(text):
     return tuple(out)
 
 
+# argparse keywords of each runner parameter; harness._flag spells its flag
+_BENCH_ARGS = {
+    "seed": {"type": int},
+    "n": {"type": int},
+    "m": {"type": int},
+    "mn_grid": {"type": _parse_grid},
+    "sigma_grid": {"type": _parse_grid, "help": "sync noise grid, fractions of sqrt(n/log n)"},
+    "d_grid": {"type": _parse_grid},
+    "trials": {"type": int},
+    "p_values": {"type": _parse_p_values, "help": "factor widths, e.g. 1,2,ref"},
+    "ensembles": {"type": _parse_list, "help": "comma list of measurement ensembles"},
+    "algos": {"type": _parse_list, "help": "comma list of algorithms"},
+    "tau": {"type": float},
+    "pairs": {"type": int},
+    "grid": {"type": int},
+    "half_width": {"type": float},
+    "max_iter": {"type": int},
+    "loo": {"action": "store_true"},
+    "out": {"required": True},
+}
+
+
+@functools.cache
 def build_parser():
+    """The one parser of the process, built on first use."""
     parser = argparse.ArgumentParser(
         prog="lowrankrec",
         description="Non-convex solvers and benchmarks for phase retrieval, "
@@ -56,15 +82,15 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    # each gen and solve target parses only the flags it reads, so argparse
-    # rejects any other (exit 2) before a file is read or written
+    # each target parses only the flags it reads, in full (fig3 --p is not --pairs),
+    # so argparse rejects any other (exit 2) before a file is read or written
     gen = sub.add_parser("gen", help="generate an instance file (JSON)").add_subparsers(
         dest="what", required=True)
     for what in ("pr", "sync"):
-        p = gen.add_parser(what)
+        p = gen.add_parser(what, allow_abbrev=False)
         p.add_argument("--n", type=int, required=True)
         if what == "pr":
-            p.add_argument("--m", type=int)
+            p.add_argument("--m", type=int, required=True)
             p.add_argument("--ensemble", default="complex-gaussian", choices=ENSEMBLE_KINDS)
         else:
             p.add_argument("--sigma", type=float, default=0.0)
@@ -74,7 +100,7 @@ def build_parser():
     solve = sub.add_parser("solve", help="run one solver on an instance file").add_subparsers(
         dest="solver", required=True)
     for solver in ("ap", "wf", "gpm", "bm"):
-        p = solve.add_parser(solver)
+        p = solve.add_parser(solver, allow_abbrev=False)
         p.add_argument("--in", dest="infile", required=True)
         if solver in ("ap", "bm"):
             p.add_argument("--seed", type=int, default=0)
@@ -84,31 +110,14 @@ def build_parser():
         p.add_argument("--max-iter", type=int, default=None)
         p.add_argument("--out", help="write the JSON report here instead of stdout")
 
-    # every bench dest is a runner parameter, and an omitted flag is not
-    # passed, so the runner's signature holds the figure's defaults
-    p_bench = sub.add_parser("bench", help="reproduce a figure as CSV",
-                             argument_default=argparse.SUPPRESS)
-    p_bench.add_argument("figure", choices=tuple(RUNNERS))
-    p_bench.add_argument("--n", type=int)
-    p_bench.add_argument("--m", type=int)
-    p_bench.add_argument("--mn-grid", type=_parse_grid)
-    p_bench.add_argument("--sigma", dest="sigma_grid", type=_parse_grid,
-                         help="sync noise grid, fractions of sqrt(n/log n)")
-    p_bench.add_argument("--d-grid", type=_parse_grid)
-    p_bench.add_argument("--trials", type=int)
-    p_bench.add_argument("--seed", type=int)
-    p_bench.add_argument("--p", dest="p_values", type=_parse_p_values,
-                         help="factor widths, e.g. 1,2,ref")
-    p_bench.add_argument("--ensemble", dest="ensembles", type=_parse_list,
-                         help="comma list of measurement ensembles")
-    p_bench.add_argument("--algos", type=_parse_list, help="comma list of algorithms")
-    p_bench.add_argument("--tau", type=float)
-    p_bench.add_argument("--pairs", type=int)
-    p_bench.add_argument("--grid", type=int)
-    p_bench.add_argument("--half-width", type=float)
-    p_bench.add_argument("--max-iter", type=int)
-    p_bench.add_argument("--loo", action="store_true")
-    p_bench.add_argument("--out", required=True)
+    # a figure's flags are its runner's parameters, and an omitted flag is
+    # not passed, so the runner's signature holds the figure's defaults
+    bench = sub.add_parser("bench", help="reproduce a figure as CSV").add_subparsers(
+        dest="figure", required=True)
+    for figure, runner in RUNNERS.items():
+        p = bench.add_parser(figure, allow_abbrev=False, argument_default=argparse.SUPPRESS)
+        for name in inspect.signature(runner).parameters:
+            p.add_argument(_flag(name), dest=name, **_BENCH_ARGS[name])
     return parser
 
 
@@ -116,8 +125,6 @@ def _cmd_gen(args):
     _check_counts(n=args.n, m=getattr(args, "m", None))
     rng = RngStream(args.seed)
     if args.what == "pr":
-        if args.m is None:
-            raise ValueError("gen pr requires --m")
         inst = gen_phase_retrieval(args.n, args.m, args.ensemble, rng)
     else:
         inst = gen_sync(args.n, args.sigma, rng)
@@ -185,19 +192,18 @@ def _cmd_solve(args):
 
 
 def _cmd_bench(args):
-    runner = RUNNERS[args.figure]
     settings = {k: v for k, v in vars(args).items() if k not in ("command", "figure")}
-    unread = [_flag(k) for k in settings if k not in inspect.signature(runner).parameters]
-    if unread:
-        raise ValueError(f"bench {args.figure} does not read {', '.join(unread)}")
-    runner(**settings)
+    RUNNERS[args.figure](**settings)
     return 0
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
+        # every command writes --out last, so a path no file can take fails first
+        if args.out is not None and (os.path.isdir(args.out) or
+                                     not os.path.isdir(os.path.dirname(args.out) or ".")):
+            raise ValueError(f"--out: {args.out!r} is not a file in an existing directory")
         if args.command == "gen":
             return _cmd_gen(args)
         if args.command == "solve":

@@ -105,21 +105,19 @@ def write_csv(path, header, rows):
             w.writerow([_fmt(v) for v in row])
 
 
-def _ap_trial(n, m, kind, rng, tau, max_iter):
-    inst = gen_phase_retrieval(n, m, kind, rng.split(0))
+def _ap_trial(inst, rng, tau, max_iter):
     try:
-        rep = alternating_projections(inst, rng.split(1), max_iter=max_iter)
+        rep = alternating_projections(inst, rng, max_iter=max_iter)
     except RankDeficient:
         return False
     return rep.rel_error_mod_phase < tau
 
 
-def _phasecut_reference_trial(n, m, kind, rng, tau):
-    inst = gen_phase_retrieval(n, m, kind, rng.split(0))
+def _bm_trial(inst, solve, tau):
+    """Round the factor solve returns for inst's PhaseCut cost and score it."""
     try:
         prob = phasecut_cost(inst)
-        _, vbest = reference_sdp_solve(prob, rng.split(1))
-        x = round_factor(prob, vbest)
+        x = round_factor(prob, solve(prob))
     except RankDeficient:
         return False
     return rel_error_mod_phase(x, inst.x_true, inst.field) < tau
@@ -147,10 +145,12 @@ def run_fig1(*, seed=0, n=40, mn_grid=(2.0, 2.5, 3.0, 3.5, 4.0, 4.5, 5.0, 5.5, 6
             succ = 0
             for ti in range(trials if m else 0):  # m = 0: no recovery, nothing to run
                 rng = RngStream(seed, (_TAG_FIG1, gi, ti))
+                inst = gen_phase_retrieval(n, m, "complex-gaussian", rng.split(0))
                 if algo == "ap":
-                    ok = _ap_trial(n, m, "complex-gaussian", rng, tau, max_iter)
+                    ok = _ap_trial(inst, rng.split(1), tau, max_iter)
                 else:
-                    ok = _phasecut_reference_trial(n, m, "complex-gaussian", rng, tau)
+                    ok = _bm_trial(
+                        inst, lambda prob: reference_sdp_solve(prob, rng.split(1))[1], tau)
                 succ += bool(ok)
             rows.append((algo, n, m, trials, succ, succ / trials, seed))
     if out:
@@ -180,18 +180,6 @@ def run_fig3(*, seed=0, n=400, m=None, d_grid=(0.0025, 0.01, 0.025, 0.05, 0.075,
     if out:
         write_csv(out, ("algorithm", "d", "mean_displacement", "pairs", "seed"), rows)
     return rows
-
-
-def _bm_trial(inst, p, rng, tau, max_iter):
-    try:
-        prob = phasecut_cost(inst)
-        # the solver's own stop test: a converged factor rounds to the
-        # signal's accuracy, far below tau, whenever it reached the optimum
-        V, _ = riemannian_gd(prob, p, rng, max_iter=max_iter)
-        x = round_factor(prob, V)
-    except RankDeficient:
-        return False
-    return rel_error_mod_phase(x, inst.x_true, inst.field) < tau
 
 
 def _width(p, m):
@@ -224,7 +212,10 @@ def run_fig5(*, seed=0, n=32, mn_grid=(0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8
                 for ti in range(trials if m else 0):  # m = 0: no recovery, nothing to run
                     rng = RngStream(seed, (_TAG_FIG5, ki, gi, ti))
                     inst = gen_phase_retrieval(n, m, kind, rng.split(0))
-                    ok = _bm_trial(inst, p_eff, rng.split(1 + pi), tau, max_iter)
+                    # the solver's own stop test: a converged factor rounds to the
+                    # signal's accuracy, far below tau, whenever it reached the optimum
+                    ok = _bm_trial(inst, lambda prob: riemannian_gd(
+                        prob, p_eff, rng.split(1 + pi), max_iter=max_iter)[0], tau)
                     succ += bool(ok)
                 rows.append((f"bm-p{p}/{kind}", n, m, trials, succ, succ / trials, seed))
     if out:

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import lowrankrec
-from lowrankrec import harness
+from lowrankrec import cli, harness
 from lowrankrec.cli import build_parser, main
 from lowrankrec.problems import ENSEMBLE_KINDS
 from lowrankrec.harness import (
@@ -257,12 +257,24 @@ class TestCLI:
 
     def test_bench_unread_flag_exit_code(self, tmp_path, capsys):
         # fig1 reads none of these: each is named as typed, nothing runs
-        csv_path = tmp_path / "x.csv"
-        assert main(["bench", "fig1", "--n", "8", "--mn-grid", "3", "--trials", "1",
-                     "--loo", "--pairs", "3", "--sigma", "0.1", "--out", str(csv_path)]) == 2
-        err = capsys.readouterr().err
-        assert all(flag in err for flag in ("--loo", "--pairs", "--sigma"))
-        assert not csv_path.exists()
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", "fig1", "--n", "8", "--mn-grid", "3", "--trials", "1",
+                  "--loo", "--pairs", "3", "--sigma", "0.1", "--out", str(tmp_path / "x.csv")])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --loo --pairs 3 --sigma 0.1" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["fig3", "--n", "8", "--p", "2"], "--p"),
+        (["sync", "--n", "10", "--m", "5"], "--m"),
+    ], ids=["fig3-p-not-pairs", "sync-m-not-max-iter"])
+    def test_bench_flag_is_not_abbreviated(self, tmp_path, capsys, argv, flag):
+        # an unread flag is never taken for a longer flag the figure reads
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", *argv, "--out", str(tmp_path / "x.csv")])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("argv, flag", [
         (["gen", "pr", "--n", "8", "--m", "32", "--sigma", "0.7"], "--sigma"),
@@ -383,14 +395,17 @@ class TestCLI:
         assert ensemble.choices is ENSEMBLE_KINDS
 
     def test_bench_flags_match_runner_parameters(self):
-        # every bench flag feeds some runner, and every runner parameter has a flag
+        # each figure's flags are exactly its runner's parameters, spelled by _flag
         sub = next(a for a in build_parser()._actions
                    if isinstance(a, argparse._SubParsersAction))
-        flags = {a.dest: a.option_strings for a in sub.choices["bench"]._actions
-                 if a.option_strings and a.dest != "help"}
-        params = set().union(*(inspect.signature(r).parameters for r in RUNNERS.values()))
-        assert set(flags) == params
-        assert all(_flag(dest) in spellings for dest, spellings in flags.items())
+        bench = next(a for a in sub.choices["bench"]._actions
+                     if isinstance(a, argparse._SubParsersAction))
+        assert set(bench.choices) == set(RUNNERS)
+        for figure, runner in RUNNERS.items():
+            flags = {a.dest: a.option_strings for a in bench.choices[figure]._actions
+                     if a.option_strings and a.dest != "help"}
+            assert set(flags) == set(inspect.signature(runner).parameters), figure
+            assert all(spellings == [_flag(dest)] for dest, spellings in flags.items())
 
     def test_runner_rejects_bad_settings(self):
         with pytest.raises(ValueError, match="--trials must be >= 1"):
@@ -441,10 +456,54 @@ class TestCLI:
         assert "column 19 converged to eigenvalue -164.39" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
-    def test_config_error_exit_code(self, tmp_path):
-        # gen pr without --m is a configuration error
-        rc = main(["gen", "pr", "--n", "8", "--out", str(tmp_path / "x.json")])
-        assert rc == 2
+    def test_config_error_exit_code(self, tmp_path, capsys):
+        # gen pr without --m is a configuration error, found while parsing
+        with pytest.raises(SystemExit) as exc:
+            main(["gen", "pr", "--n", "8", "--out", str(tmp_path / "x.json")])
+        assert exc.value.code == 2
+        assert "required: --m" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("out", ["no/such/x.out", "."], ids=["missing-dir", "a-dir"])
+    @pytest.mark.parametrize("argv", [
+        ["bench", "fig5", "--n", "8", "--mn-grid", "3,4", "--trials", "3", "--p", "1,2",
+         "--ensemble", "complex-gaussian"],
+        ["gen", "pr", "--n", "8", "--m", "48"],
+        ["solve", "ap"],
+    ], ids=["bench", "gen", "solve"])
+    def test_bad_out_path_fails_first(self, tmp_path, monkeypatch, capsys, argv, out):
+        # no trial runs and no instance is generated or read
+        calls = []
+
+        def record(*a, **k):
+            calls.append(a)
+
+        monkeypatch.setattr(harness, "_bm_trial", record)
+        monkeypatch.setattr(cli, "gen_phase_retrieval", record)
+        monkeypatch.setattr(cli, "load_instance", record)
+        io = ["--in", str(tmp_path / "inst.json")] if argv[0] == "solve" else []
+        out = str(tmp_path / out)
+        assert main(argv + io + ["--out", out]) == 2
+        assert f"--out: {out!r} is not a file in an existing directory" in capsys.readouterr().err
+        assert calls == []
+        assert list(tmp_path.iterdir()) == []
+
+    def test_parser_is_built_once(self, tmp_path, monkeypatch):
+        # every main call after the first parses with the same parser
+        args = ["bench", "fig3", "--n", "8", "--m", "16", "--d-grid", "0.1", "--pairs", "1",
+                "--out", str(tmp_path / "x.csv")]
+        assert main(args) == 0
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *a, **k):
+            built.append(k.get("prog"))
+            init(self, *a, **k)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        for _ in range(3):
+            assert main(args) == 0
+        assert built == []
 
     def test_structured_frame_size_exit_code(self, tmp_path):
         # the structured frame needs n a power of two: a configuration error
@@ -524,6 +583,15 @@ class TestBenchmarkHooks:
         assert originals
         for (_, attr), (mod, fn) in originals.items():
             assert getattr(mod, attr) is fn
+
+    def test_command_lines_parse(self, bench, tmp_path):
+        # every perfbench command line parses, and each setting is its runner's parameter
+        for name in bench.WORKLOADS:
+            for argv in bench.command_lines(name, 1, tmp_path):
+                settings = vars(build_parser().parse_args(argv))
+                assert settings.pop("command") == "bench"
+                params = inspect.signature(RUNNERS[settings.pop("figure")]).parameters
+                assert set(settings) <= set(params), argv
 
 
 class TestImports:
