@@ -82,12 +82,13 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    # each target parses only the flags it reads, in full (fig3 --p is not --pairs),
-    # so argparse rejects any other (exit 2) before a file is read or written
+    # each target parses only the flags it reads, in full (fig3 --p is not --pairs);
+    # main rejects any other (exit 2) with the target's usage, before any file is touched
     gen = sub.add_parser("gen", help="generate an instance file (JSON)").add_subparsers(
         dest="what", required=True)
     for what in ("pr", "sync"):
         p = gen.add_parser(what, allow_abbrev=False)
+        p.set_defaults(parser=p)
         p.add_argument("--n", type=int, required=True)
         if what == "pr":
             p.add_argument("--m", type=int, required=True)
@@ -101,6 +102,7 @@ def build_parser():
         dest="solver", required=True)
     for solver in ("ap", "wf", "gpm", "bm"):
         p = solve.add_parser(solver, allow_abbrev=False)
+        p.set_defaults(parser=p)
         p.add_argument("--in", dest="infile", required=True)
         if solver in ("ap", "bm"):
             p.add_argument("--seed", type=int, default=0)
@@ -116,6 +118,7 @@ def build_parser():
         dest="figure", required=True)
     for figure, runner in RUNNERS.items():
         p = bench.add_parser(figure, allow_abbrev=False, argument_default=argparse.SUPPRESS)
+        p.set_defaults(parser=p)
         for name in inspect.signature(runner).parameters:
             p.add_argument(_flag(name), dest=name, **_BENCH_ARGS[name])
     return parser
@@ -192,13 +195,15 @@ def _cmd_solve(args):
 
 
 def _cmd_bench(args):
-    settings = {k: v for k, v in vars(args).items() if k not in ("command", "figure")}
+    settings = {k: v for k, v in vars(args).items() if k not in ("command", "figure", "parser")}
     RUNNERS[args.figure](**settings)
     return 0
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    args, extra = build_parser().parse_known_args(argv)
+    if extra:
+        args.parser.error(f"unrecognized arguments: {' '.join(extra)}")
     try:
         # every command writes --out last, so a path no file can take fails first
         if args.out is not None and (os.path.isdir(args.out) or

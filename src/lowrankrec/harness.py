@@ -105,22 +105,34 @@ def write_csv(path, header, rows):
             w.writerow([_fmt(v) for v in row])
 
 
+def _success_rows(label, path, kind, n, mn_grid, trials, seed, trial):
+    """Rows of one success curve: trial(inst, rng) scores a trial, a rank-deficient B fails it.
+
+    Trial ti of grid point gi draws on RngStream(seed, path + (gi, ti)), its instance on split(0).
+    """
+    rows = []
+    for gi, ratio in enumerate(mn_grid):
+        m = int(round(ratio * n))
+        succ = 0
+        for ti in range(trials if m else 0):  # m = 0: no recovery, nothing to run
+            rng = RngStream(seed, path + (gi, ti))
+            inst = gen_phase_retrieval(n, m, kind, rng.split(0))
+            try:
+                succ += bool(trial(inst, rng))
+            except RankDeficient:
+                pass
+        rows.append((label, n, m, trials, succ, succ / trials, seed))
+    return rows
+
+
 def _ap_trial(inst, rng, tau, max_iter):
-    try:
-        rep = alternating_projections(inst, rng, max_iter=max_iter)
-    except RankDeficient:
-        return False
-    return rep.rel_error_mod_phase < tau
+    return alternating_projections(inst, rng, max_iter=max_iter).rel_error_mod_phase < tau
 
 
 def _bm_trial(inst, solve, tau):
     """Round the factor solve returns for inst's PhaseCut cost and score it."""
-    try:
-        prob = phasecut_cost(inst)
-        x = round_factor(prob, solve(prob))
-    except RankDeficient:
-        return False
-    return rel_error_mod_phase(x, inst.x_true, inst.field) < tau
+    prob = phasecut_cost(inst)
+    return rel_error_mod_phase(round_factor(prob, solve(prob)), inst.x_true, inst.field) < tau
 
 
 def run_fig1(*, seed=0, n=40, mn_grid=(2.0, 2.5, 3.0, 3.5, 4.0, 4.5, 5.0, 5.5, 6.0, 6.5, 7.0, 7.5),
@@ -138,21 +150,11 @@ def run_fig1(*, seed=0, n=40, mn_grid=(2.0, 2.5, 3.0, 3.5, 4.0, 4.5, 5.0, 5.5, 6
         _check_values("mn_grid", mn_grid,
                       lambda r: not (m := round(r * n)) or reference_rank(m) <= m,
                       "phasecut's reference width ceil(sqrt(2m)) + 1 must be <= m")
-    rows = []
-    for algo in algos:
-        for gi, ratio in enumerate(mn_grid):
-            m = int(round(ratio * n))
-            succ = 0
-            for ti in range(trials if m else 0):  # m = 0: no recovery, nothing to run
-                rng = RngStream(seed, (_TAG_FIG1, gi, ti))
-                inst = gen_phase_retrieval(n, m, "complex-gaussian", rng.split(0))
-                if algo == "ap":
-                    ok = _ap_trial(inst, rng.split(1), tau, max_iter)
-                else:
-                    ok = _bm_trial(
-                        inst, lambda prob: reference_sdp_solve(prob, rng.split(1))[1], tau)
-                succ += bool(ok)
-            rows.append((algo, n, m, trials, succ, succ / trials, seed))
+    trial = {"ap": lambda inst, rng: _ap_trial(inst, rng.split(1), tau, max_iter),
+             "phasecut": lambda inst, rng: _bm_trial(
+                 inst, lambda prob: reference_sdp_solve(prob, rng.split(1))[1], tau)}
+    rows = [row for algo in algos for row in _success_rows(
+        algo, (_TAG_FIG1,), "complex-gaussian", n, mn_grid, trials, seed, trial[algo])]
     if out:
         write_csv(out, SUCCESS_HEADER, rows)
     return rows
@@ -202,22 +204,16 @@ def run_fig5(*, seed=0, n=32, mn_grid=(0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8
     m = min({round(r * n) for r in mn_grid} - {0}, default=math.inf)
     _check_values("p_values", p_values, lambda p: m == math.inf or _width(p, m) <= m,
                   f"factor width must be <= m = {m}")
-    rows = []
-    for ki, kind in enumerate(ensembles):
-        for pi, p in enumerate(p_values):
-            for gi, ratio in enumerate(mn_grid):
-                m = int(round(ratio * n))
-                p_eff = _width(p, m)
-                succ = 0
-                for ti in range(trials if m else 0):  # m = 0: no recovery, nothing to run
-                    rng = RngStream(seed, (_TAG_FIG5, ki, gi, ti))
-                    inst = gen_phase_retrieval(n, m, kind, rng.split(0))
-                    # the solver's own stop test: a converged factor rounds to the
-                    # signal's accuracy, far below tau, whenever it reached the optimum
-                    ok = _bm_trial(inst, lambda prob: riemannian_gd(
-                        prob, p_eff, rng.split(1 + pi), max_iter=max_iter)[0], tau)
-                    succ += bool(ok)
-                rows.append((f"bm-p{p}/{kind}", n, m, trials, succ, succ / trials, seed))
+
+    def bm(p, pi):
+        # the solver's own stop test: a converged factor rounds to the
+        # signal's accuracy, far below tau, whenever it reached the optimum
+        return lambda inst, rng: _bm_trial(inst, lambda prob: riemannian_gd(
+            prob, _width(p, inst.m), rng.split(1 + pi), max_iter=max_iter)[0], tau)
+
+    rows = [row for ki, kind in enumerate(ensembles) for pi, p in enumerate(p_values)
+            for row in _success_rows(f"bm-p{p}/{kind}", (_TAG_FIG5, ki), kind, n, mn_grid,
+                                     trials, seed, bm(p, pi))]
     if out:
         write_csv(out, SUCCESS_HEADER, rows)
     return rows

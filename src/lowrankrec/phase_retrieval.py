@@ -20,32 +20,25 @@ def project_modulus(y, b):
     return b * torus_project(y)
 
 
-def ap_iterate(q, b, Y, max_iter, tol, trace=False):
+def ap_iterate(q, b, Y, max_iter, tol):
     """Gerchberg-Saxton iteration y <- Q Q* P_moduli(y) on every column of Y.
 
     q is the thin-QR factor of the measurement matrix.  A column stops when
     its change is at most tol times its norm, or after max_iter steps; the
     columns still running are kept as one contiguous block, compacted only
-    when some column stops.  Returns (Y, iterations, converged, residuals):
-    the final columns, each column's step count and stop flag, and with
-    trace (one column only) the residuals || |y_t| - b || per step, else
-    None.
+    when some column stops.  Returns the final columns and each column's
+    step count and stop flag.  || |y_t| - b || is non-increasing in t.
     """
     Y = np.asarray(Y)
     K = Y.shape[1]
-    if trace and K != 1:
-        raise ValueError("a residual trace needs a single column")
     qh = q.conj().T
     bc = b[:, None]
     out = np.array(Y, dtype=np.result_type(q, Y))
     iterations = np.full(K, max_iter)
     converged = np.zeros(K, dtype=bool)
     live = np.arange(K)
-    residuals = [] if trace else None
     for it in range(1, max_iter + 1):
         Y_new = q @ (qh @ project_modulus(Y, bc))
-        if trace:
-            residuals.append(float(np.linalg.norm(np.abs(Y_new[:, 0]) - b)))
         D = Y_new - Y
         # vecdot is the cheapest column norm at one column, where AP is
         # bound by per-call overhead
@@ -62,7 +55,7 @@ def ap_iterate(q, b, Y, max_iter, tol, trace=False):
             if live.size == 0:
                 break
     out[:, live] = Y
-    return out, iterations, converged, residuals
+    return out, iterations, converged
 
 
 def alternating_projections(instance, rng=None, max_iter=2000, y0=None):
@@ -71,15 +64,16 @@ def alternating_projections(instance, rng=None, max_iter=2000, y0=None):
     Starts from y0, or else from a Gaussian in measurement space drawn from rng.
     The range projection is applied through the instance's thin QR of B,
     which equals B @ least_squares(B, .) for full-column-rank B.
-    residual_trace records || |y_t| - b || at the in-range iterates, which is
-    non-increasing.  Stops when the relative iterate change drops below 1e-9.
+    residual_trace holds the one final residual || |y| - b || of the last
+    in-range iterate.  Stops when the relative iterate change drops below 1e-9.
     """
     q, r = instance.qr
     if y0 is None:
         y0 = sample_gaussian(rng, instance.m, instance.field)
-    Y, iterations, converged, residuals = ap_iterate(
-        q, instance.moduli, np.asarray(y0)[:, None], max_iter, 1e-9, trace=True)
-    x = solve_from_qr(q, r, Y[:, 0])
+    Y, iterations, converged = ap_iterate(q, instance.moduli, np.asarray(y0)[:, None],
+                                          max_iter, 1e-9)
+    y = Y[:, 0]
+    x = solve_from_qr(q, r, y)
     err = None
     if instance.x_true is not None:
         err = rel_error_mod_phase(x, instance.x_true, instance.field)
@@ -88,7 +82,7 @@ def alternating_projections(instance, rng=None, max_iter=2000, y0=None):
         rel_error_mod_phase=err,
         iterations=int(iterations[0]),
         converged=bool(converged[0]),
-        residual_trace=np.asarray(residuals),
+        residual_trace=np.asarray([np.linalg.norm(np.abs(y) - instance.moduli)]),
     )
 
 

@@ -261,7 +261,10 @@ class TestCLI:
             main(["bench", "fig1", "--n", "8", "--mn-grid", "3", "--trials", "1",
                   "--loo", "--pairs", "3", "--sigma", "0.1", "--out", str(tmp_path / "x.csv")])
         assert exc.value.code == 2
-        assert "unrecognized arguments: --loo --pairs 3 --sigma 0.1" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        # reported with the figure's own usage line, which lists the flags it reads
+        assert err.startswith("usage: lowrankrec bench fig1 [-h] [--seed SEED] [--n N]")
+        assert "unrecognized arguments: --loo --pairs 3 --sigma 0.1" in err
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("argv, flag", [
@@ -295,7 +298,9 @@ class TestCLI:
         with pytest.raises(SystemExit) as exc:
             main(argv + io + ["--out", str(out)])
         assert exc.value.code == 2
-        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage: lowrankrec {argv[0]} {argv[1]} [-h] ")
+        assert f"unrecognized arguments: {flag}" in err
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("argv, trial", [
@@ -415,13 +420,55 @@ class TestCLI:
         with pytest.raises(TypeError):
             run_fig1(n=8, mn_grid=(3.0,), trials=1, pairs=3)
 
-    def test_fig1_ap_below_m_equals_n(self, tmp_path):
-        # m < n leaves the range projection rank deficient: a failed trial
-        out = tmp_path / "f1.csv"
-        assert main(["bench", "fig1", "--n", "8", "--mn-grid", "0.5,3", "--trials", "2",
+    @pytest.mark.parametrize("argv", [
+        ["fig1", "--algos", "ap"],
+        ["fig1", "--algos", "phasecut"],
+        ["fig5", "--p", "1", "--ensemble", "complex-gaussian"],
+    ], ids=["fig1-ap", "fig1-phasecut", "fig5-p1"])
+    def test_rank_deficient_trial_fails(self, tmp_path, argv):
+        # m < n leaves the measurement matrix rank deficient: a failed trial
+        out = tmp_path / "f.csv"
+        assert main(["bench", *argv, "--n", "8", "--mn-grid", "0.5,3", "--trials", "2",
                      "--out", str(out)]) == 0
         rows = [line.split(",") for line in read(out).decode().strip().split("\n")[1:]]
         assert rows[0][2:5] == ["4", "2", "0"]
+
+    def test_trial_stream_layout(self, monkeypatch):
+        # trial ti at grid point gi draws its instance on (tag, [ensemble,] gi, ti, 0)
+        # and its solver on (..., 1), or (..., 1 + width index) in fig5; CSV bytes rest on it
+        calls = []
+
+        def recording(name, fn, stream_arg):
+            def wrapper(*a, **k):
+                calls.append((name, *a[1:stream_arg], a[stream_arg].path))
+                return fn(*a, **k)
+            return wrapper
+
+        for name, stream_arg in [("gen_phase_retrieval", 3), ("alternating_projections", 1),
+                                 ("reference_sdp_solve", 1), ("riemannian_gd", 2)]:
+            monkeypatch.setattr(harness, name, recording(name, getattr(harness, name),
+                                                         stream_arg))
+        run_fig1(n=4, mn_grid=(0, 3), trials=2, algos=("ap", "phasecut"))
+        assert calls == [
+            ("gen_phase_retrieval", 12, "complex-gaussian", (1, 1, 0, 0)),
+            ("alternating_projections", (1, 1, 0, 1)),
+            ("gen_phase_retrieval", 12, "complex-gaussian", (1, 1, 1, 0)),
+            ("alternating_projections", (1, 1, 1, 1)),
+            ("gen_phase_retrieval", 12, "complex-gaussian", (1, 1, 0, 0)),
+            ("reference_sdp_solve", (1, 1, 0, 1)),
+            ("gen_phase_retrieval", 12, "complex-gaussian", (1, 1, 1, 0)),
+            ("reference_sdp_solve", (1, 1, 1, 1)),
+        ]
+        calls.clear()
+        kinds = ("complex-gaussian", "structured-frame")
+        run_fig5(n=4, mn_grid=(0, 3), trials=2, ensembles=kinds, p_values=(1, "ref"))
+        # "ref" is width ceil(sqrt(2 * 12)) + 1 = 6 at m = 12
+        assert calls == [
+            call for ki, kind in enumerate(kinds) for pi, width in enumerate((1, 6))
+            for ti in range(2) for call in (
+                ("gen_phase_retrieval", 12, kind, (5, ki, 1, ti, 0)),
+                ("riemannian_gd", width, (5, ki, 1, ti, 1 + pi)))
+        ]
 
     def test_solve_ap_undersampled_exit_code(self, tmp_path, capsys):
         inst_path = tmp_path / "small.json"
@@ -590,6 +637,7 @@ class TestBenchmarkHooks:
             for argv in bench.command_lines(name, 1, tmp_path):
                 settings = vars(build_parser().parse_args(argv))
                 assert settings.pop("command") == "bench"
+                settings.pop("parser")
                 params = inspect.signature(RUNNERS[settings.pop("figure")]).parameters
                 assert set(settings) <= set(params), argv
 
