@@ -132,8 +132,8 @@ def opnorm_estimate(C):
     return est
 
 
-def riemannian_gd(problem, p, rng, max_iter=20000, v0=None):
-    """Local descent on the factor, from rows uniform on the sphere (or v0).
+def riemannian_gd(problem, p, rng, max_iter=20000):
+    """Local descent on the factor, from rows drawn uniformly on the sphere.
 
     PhaseCut costs, the problems carrying their instance, are solved by
     Levenberg-Marquardt on their variable-projected form from X0 = B^+ D V,
@@ -153,8 +153,8 @@ def riemannian_gd(problem, p, rng, max_iter=20000, v0=None):
     Both also stop, unconverged, at max_iter or when no step decreases the
     objective any more.
 
-    Returns (factor, report); report.estimate is None, the factor carries
-    the result.
+    Returns (factor, report); the report holds no estimate, the factor
+    carries the result.
     """
     C = problem.cost
     N = problem.dim
@@ -162,7 +162,7 @@ def riemannian_gd(problem, p, rng, max_iter=20000, v0=None):
         raise ValueError("need 1 <= p <= N")
     nrm = max(opnorm_estimate(C), 1e-300)
     threshold = 1e-10 * nrm * N
-    V = random_factor(rng, N, p) if v0 is None else np.asarray(v0)
+    V = random_factor(rng, N, p)
     if problem.instance is not None:
         inst = problem.instance
         X, trace, iterations, converged = _vp_lm(
@@ -170,15 +170,8 @@ def riemannian_gd(problem, p, rng, max_iter=20000, v0=None):
         V = _unit_rows(inst.matrix @ X)
     else:
         V, trace, iterations, converged = _rgd(C, V, 0.5 / nrm, max_iter, threshold)
-    report = SolveReport(
-        estimate=None,
-        rel_error_mod_phase=None,
-        iterations=iterations,
-        converged=converged,
-        residual_trace=np.asarray([]),
-        objective_trace=np.asarray(trace),
-    )
-    return V, report
+    return V, SolveReport(iterations=iterations, converged=converged,
+                          objective_trace=np.asarray(trace))
 
 
 def _rgd(C, V, step0, max_iter, threshold):
@@ -228,7 +221,7 @@ _LM_XTOL = 1e-8
 _RANK_ONE_EVERY = 20
 
 
-def _vp_lm(problem, X, max_iter, threshold=None):
+def _vp_lm(problem, X, max_iter, threshold):
     """PhaseCut by Levenberg-Marquardt on its variable projection g(X).
 
     With D = Diag(b), the PhaseCut cost is f(V) = min_X ||D V - B X||^2;
@@ -243,16 +236,14 @@ def _vp_lm(problem, X, max_iter, threshold=None):
     Near a rank-one optimum reached with p >= 2, g grows only at fourth
     order along the rank-raising directions, where a local method crawls,
     while the rank-one truncation of X is nondegenerate at width one.  So
-    given a threshold, every _RANK_ONE_EVERY steps that truncation is
-    refined at width one; it replaces X, as one step, when its g is no
-    larger and dual_certificate proves its factor optimal to within
-    threshold.
+    every _RANK_ONE_EVERY steps that truncation is refined at width one; it
+    replaces X, as one step, when its g is no larger and dual_certificate
+    proves its factor optimal to within threshold.
 
-    Stops, converged, when the step is below _LM_XTOL relative to X and,
-    given a threshold, the Riemannian gradient norm of f at the factor is
-    below it.  Returns (X, trace of g, steps, converged), one trace entry
-    per step after the first; g bounds f(V) from above, with equality at
-    critical points.
+    Stops, converged, when the step is below _LM_XTOL relative to X and the
+    Riemannian gradient norm of f at the factor is below threshold.  Returns
+    (X, trace of g, steps, converged), one trace entry per step after the
+    first; g bounds f(V) from above, with equality at critical points.
     """
     B, b = problem.instance.matrix, problem.instance.moduli
     m = B.shape[0]
@@ -269,10 +260,10 @@ def _vp_lm(problem, X, max_iter, threshold=None):
     nu = 2.0
     while len(trace) <= max_iter:
         steps = len(trace) - 1
-        if threshold is not None and steps and steps % _RANK_ONE_EVERY == 0 and X.shape[1] > 1:
+        if steps and steps % _RANK_ONE_EVERY == 0 and X.shape[1] > 1:
             U, s, _ = np.linalg.svd(X, full_matrices=False)
             X1 = np.zeros_like(X)
-            X1[:, :1] = _vp_lm(problem, U[:, :1] * s[0], _RANK_ONE_EVERY)[0]
+            X1[:, :1] = _vp_lm(problem, U[:, :1] * s[0], _RANK_ONE_EVERY, threshold)[0]
             Y1, rho1, F1 = value(X1)
             if F1 <= F and dual_certificate(problem, _unit_rows(Y1)) >= -threshold:
                 X, Y, rho, F = X1, Y1, rho1, F1
@@ -291,9 +282,8 @@ def _vp_lm(problem, X, max_iter, threshold=None):
         if not math.isfinite(mu):
             return X, trace, steps, False  # no step decreases g any more
         h = -np.linalg.solve(J.T @ J + mu * np.eye(2 * k), grad)
-        if (np.linalg.norm(h) <= _LM_XTOL * np.linalg.norm(X) and (
-                threshold is None
-                or np.linalg.norm(riemannian_grad(problem, _unit_rows(Y))) < threshold)):
+        if (np.linalg.norm(h) <= _LM_XTOL * np.linalg.norm(X)
+                and np.linalg.norm(riemannian_grad(problem, _unit_rows(Y))) < threshold):
             return X, trace, steps, True
         Xc = X + (h[:k] + 1j * h[k:]).reshape(X.shape)
         Yc, rhoc, Fc = value(Xc)

@@ -180,8 +180,7 @@ def _cmd_solve(args):
         out["final_residual"] = float(np.linalg.norm(riemannian_grad(prob, V)))
         truth = inst.x_true if isinstance(inst, PhaseRetrievalInstance) else inst.z_true
         if truth is not None:
-            field = inst.field if isinstance(inst, PhaseRetrievalInstance) else "complex"
-            out["rel_error_mod_phase"] = rel_error_mod_phase(est, truth, field)
+            out["rel_error_mod_phase"] = rel_error_mod_phase(est, truth)
         out["objective"] = float(report.objective_trace[-1])
     if out.get("rel_error_mod_phase") is not None:
         out["success"] = bool(out["rel_error_mod_phase"] < args.tau)

@@ -132,7 +132,7 @@ def _ap_trial(inst, rng, tau, max_iter):
 def _bm_trial(inst, solve, tau):
     """Round the factor solve returns for inst's PhaseCut cost and score it."""
     prob = phasecut_cost(inst)
-    return rel_error_mod_phase(round_factor(prob, solve(prob)), inst.x_true, inst.field) < tau
+    return rel_error_mod_phase(round_factor(prob, solve(prob)), inst.x_true) < tau
 
 
 def run_fig1(*, seed=0, n=40, mn_grid=(2.0, 2.5, 3.0, 3.5, 4.0, 4.5, 5.0, 5.5, 6.0, 6.5, 7.0, 7.5),

@@ -58,25 +58,23 @@ def ap_iterate(q, b, Y, max_iter, tol):
     return out, iterations, converged
 
 
-def alternating_projections(instance, rng=None, max_iter=2000, y0=None):
+def alternating_projections(instance, rng, max_iter=2000):
     """Gerchberg-Saxton iteration y <- P_range(P_moduli(y)), see ap_iterate.
 
-    Starts from y0, or else from a Gaussian in measurement space drawn from rng.
+    Starts from a Gaussian in measurement space drawn from rng.
     The range projection is applied through the instance's thin QR of B,
     which equals B @ least_squares(B, .) for full-column-rank B.
     residual_trace holds the one final residual || |y| - b || of the last
     in-range iterate.  Stops when the relative iterate change drops below 1e-9.
     """
     q, r = instance.qr
-    if y0 is None:
-        y0 = sample_gaussian(rng, instance.m, instance.field)
-    Y, iterations, converged = ap_iterate(q, instance.moduli, np.asarray(y0)[:, None],
-                                          max_iter, 1e-9)
+    y0 = sample_gaussian(rng, instance.m, instance.field)
+    Y, iterations, converged = ap_iterate(q, instance.moduli, y0[:, None], max_iter, 1e-9)
     y = Y[:, 0]
     x = solve_from_qr(q, r, y)
     err = None
     if instance.x_true is not None:
-        err = rel_error_mod_phase(x, instance.x_true, instance.field)
+        err = rel_error_mod_phase(x, instance.x_true)
     return SolveReport(
         estimate=x,
         rel_error_mod_phase=err,
@@ -119,21 +117,21 @@ def wf_spectral_init(instance):
     return v * lam_hat
 
 
-def wirtinger_flow(instance, max_iter=5000, x0=None):
+def wirtinger_flow(instance, max_iter=5000):
     """Gradient descent on the quartic loss from the spectral initializer.
 
     The step is WF_STEP_SCALE / mean(b^2); it halves whenever the loss would
     increase (and the reduced step is kept), so the objective trace is
     non-increasing.  Stops when ||grad|| < 1e-9 * mean(b^2)^(3/2), after 60
-    halvings that do not reduce the loss, or at max_iter.
+    halvings that do not reduce the loss, or at max_iter.  residual_trace
+    holds the one final residual || |Bx| - b ||.
     """
     b = instance.moduli
     lam2 = float(np.mean(b ** 2))
     mu = WF_STEP_SCALE / max(lam2, 1e-300)
     grad_threshold = 1e-9 * lam2 ** 1.5
-    x = wf_spectral_init(instance) if x0 is None else np.asarray(x0)
+    x = wf_spectral_init(instance)
     f = wf_loss(instance, x)
-    residuals = [float(np.linalg.norm(np.abs(instance.matrix @ x) - b))]
     objectives = [f]
     converged = False
     iterations = 0
@@ -156,16 +154,15 @@ def wirtinger_flow(instance, max_iter=5000, x0=None):
         x = cand
         f = fc
         iterations += 1
-        residuals.append(float(np.linalg.norm(np.abs(instance.matrix @ x) - b)))
         objectives.append(f)
     err = None
     if instance.x_true is not None:
-        err = rel_error_mod_phase(x, instance.x_true, instance.field)
+        err = rel_error_mod_phase(x, instance.x_true)
     return SolveReport(
         estimate=x,
         rel_error_mod_phase=err,
         iterations=iterations,
         converged=converged,
-        residual_trace=np.asarray(residuals),
+        residual_trace=np.asarray([np.linalg.norm(np.abs(instance.matrix @ x) - b)]),
         objective_trace=np.asarray(objectives),
     )

@@ -13,6 +13,8 @@ from .problems import SolveReport, dist_mod_phase
 
 _INIT_SEED = 0x6E37  # fixed internal stream: gpm is deterministic given the instance
 
+_AUX_MAX_ITER = 50_000  # power products before _aux_principal raises NonConvergence
+
 
 def fixed_point_residual(C, z):
     """|| P(Cz) - z || where P is the entrywise phase projection."""
@@ -125,7 +127,7 @@ def _aux_matvec(C, W, Z):
     return M
 
 
-def _aux_principal(C, W, v, max_iter=50_000):
+def _aux_principal(C, W, v):
     """Batched power iteration: column k converges to the principal vector of C^(k).
 
     Every column starts at v, gpm's start vector (the principal vector of C),
@@ -133,10 +135,10 @@ def _aux_principal(C, W, v, max_iter=50_000):
     M[:, k] = C^(k) V[:, k]: the last power product, which is also the first
     lockstep GPM step.  The iteration is unshifted, so a column whose C^(k)
     has a negative eigenvalue dominant in modulus converges to it; that is
-    raised as NonConvergence, as is a residual above tol after max_iter.
+    raised as NonConvergence, as is a residual above tol after _AUX_MAX_ITER.
     """
     V = v[:, None]
-    for _ in range(max_iter):
+    for _ in range(_AUX_MAX_ITER):
         M = _aux_matvec(C, W, V)
         lam = np.real(np.einsum("ij,ij->j", V.conj(), M))
         res = np.linalg.norm(M - V * lam[None, :], axis=0)
@@ -148,7 +150,7 @@ def _aux_principal(C, W, v, max_iter=50_000):
             return np.broadcast_to(V, M.shape), M
         V = M / np.linalg.norm(M, axis=0)
     raise NonConvergence(f"leave-one-out power iteration residual {res.max():.3e} "
-                         f"above tol after {max_iter} iterations")
+                         f"above tol after {_AUX_MAX_ITER} iterations")
 
 
 def loo_run(instance, history):

@@ -64,13 +64,13 @@ class SyncInstance:
 
 @dataclass
 class SolveReport:
-    """Common output record of the iterative solvers."""
+    """Common output record of the iterative solvers; unreported fields keep their defaults."""
 
-    estimate: np.ndarray | None
-    rel_error_mod_phase: float | None
     iterations: int
     converged: bool
-    residual_trace: np.ndarray
+    estimate: np.ndarray | None = None
+    rel_error_mod_phase: float | None = None
+    residual_trace: np.ndarray = ()
     objective_trace: np.ndarray | None = None
 
 
@@ -150,20 +150,18 @@ def gen_sync(n, sigma, rng):
     return SyncInstance(C, z, float(sigma), W)
 
 
-def dist_mod_phase(u, v, field=None):
+def dist_mod_phase(u, v):
     """Distance modulo a global phase: inf_a ||u - e^{ia} v||.
 
     Closed form sqrt(max(0, ||u||^2 + ||v||^2 - 2|<u,v>|)).  For real-valued
     inputs the infimum over a in {0, pi} (sign ambiguity) coincides with the
-    same formula, so the field is inferred from the dtypes unless forced.
+    same formula, so the field is inferred from the dtypes.
     """
     u = np.asarray(u)
     v = np.asarray(v)
     if u.shape != v.shape:
         raise ValueError("length mismatch")
     w = complex(np.vdot(u, v))
-    if field == "real" and (np.iscomplexobj(u) or np.iscomplexobj(v)):
-        w = complex(w.real)
     if w == 0:
         return math.sqrt(max(0.0, float(np.real(np.vdot(u, u)) + np.real(np.vdot(v, v)))))
     # align at the optimal phase and measure directly (avoids cancellation)
@@ -173,8 +171,8 @@ def dist_mod_phase(u, v, field=None):
     return float(np.linalg.norm(u - phase.real * v))
 
 
-def rel_error_mod_phase(estimate, truth, field=None):
-    return dist_mod_phase(estimate, truth, field) / np.linalg.norm(truth)
+def rel_error_mod_phase(estimate, truth):
+    return dist_mod_phase(estimate, truth) / np.linalg.norm(truth)
 
 
 # --- serialization -----------------------------------------------------------

@@ -23,8 +23,8 @@ from lowrankrec.burer_monteiro import (
     sync_cost,
 )
 from lowrankrec.errors import RankDeficient
-from lowrankrec.numerics import RngStream, hermitize, sample_gaussian
-from lowrankrec.phase_sync import fixed_point_residual, gpm, mle_objective, torus_project
+from lowrankrec.numerics import RngStream, hermitize, sample_gaussian, torus_project
+from lowrankrec.phase_sync import fixed_point_residual, gpm, mle_objective
 from lowrankrec.problems import dist_mod_phase, gen_phase_retrieval, gen_sync, rel_error_mod_phase
 
 
@@ -160,13 +160,24 @@ class TestRetractProperties:
         assert np.all(out[zero, 0] == 1.0)
 
 
+class TestOpnormEstimate:
+    def test_zero_matrix(self):
+        assert opnorm_estimate(np.zeros((4, 4))) == 0.0
+
+
 class TestRiemannianGD:
-    def test_immediate_stop_at_minimizer(self):
+    def test_immediate_stop_at_minimizer(self, monkeypatch):
         inst = gen_sync(14, 0.0, RngStream(14))
         prob = sync_cost(inst)
-        V, rep = riemannian_gd(prob, 1, RngStream(15), v0=inst.z_true.reshape(-1, 1))
+        monkeypatch.setattr(bm, "random_factor", lambda rng, n, p: inst.z_true.reshape(-1, 1))
+        V, rep = riemannian_gd(prob, 1, RngStream(15))
         assert rep.converged
         assert rep.iterations == 0
+
+    def test_width_above_dimension_raised(self):
+        prob = random_cost(RngStream(13), 5)
+        with pytest.raises(ValueError, match="need 1 <= p <= N"):
+            riemannian_gd(prob, 6, RngStream(14))
 
     def test_feasibility_preserved(self):
         rng = RngStream(16)
@@ -219,7 +230,7 @@ class TestPhasecutSolve:
             V, rep = riemannian_gd(prob, 2, rng.split(2), max_iter=6000)
             x = round_factor(prob, V)
             assert rep.converged
-            assert rel_error_mod_phase(x, inst.x_true, inst.field) < 1e-3
+            assert rel_error_mod_phase(x, inst.x_true) < 1e-3
 
     def test_factor_contract(self):
         rng = RngStream(38)
@@ -234,11 +245,12 @@ class TestPhasecutSolve:
             # the trace bounds the objective of the returned factor
             assert objective(prob, V) <= rep.objective_trace[-1] * (1 + 1e-9) + 1e-12
 
-    def test_stops_at_start_on_optimum(self):
+    def test_stops_at_start_on_optimum(self, monkeypatch):
         inst = gen_phase_retrieval(8, 48, "complex-gaussian", RngStream(39))
         prob = phasecut_cost(inst)
         u = torus_project(inst.matrix @ inst.x_true).reshape(-1, 1)
-        V, rep = riemannian_gd(prob, 1, RngStream(40), v0=u)
+        monkeypatch.setattr(bm, "random_factor", lambda rng, n, p: u)
+        V, rep = riemannian_gd(prob, 1, RngStream(40))
         assert rep.converged and rep.iterations == 0
         assert dist_mod_phase(V[:, 0], u[:, 0]) <= 1e-9 * np.sqrt(48)
 
@@ -316,7 +328,7 @@ class TestRoundFactor:
         prob = phasecut_cost(inst)
         u = torus_project(inst.matrix @ inst.x_true).reshape(-1, 1)  # a global optimum
         x = round_factor(prob, u)
-        assert rel_error_mod_phase(x, inst.x_true, inst.field) < 1e-6
+        assert rel_error_mod_phase(x, inst.x_true) < 1e-6
 
 
 class TestSOSPProbe:
@@ -362,6 +374,13 @@ class TestReferenceSolve:
         prob = phasecut_cost(inst)
         val, _ = reference_sdp_solve(prob, RngStream(36))
         assert abs(val) <= 1e-8 * opnorm_estimate(prob.cost) * inst.m
+
+    def test_dimension_above_limit_raised_before_any_descent(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(bm, "riemannian_gd", lambda *args, **kwargs: calls.append(args))
+        with pytest.raises(ValueError, match="limited to N <= 512"):
+            reference_sdp_solve(UnitDiagSDP(np.zeros((513, 513))), RngStream(0))
+        assert calls == []
 
     def test_reference_rank_inequality(self):
         for n in (5, 20, 100, 256):

@@ -592,6 +592,12 @@ class TestCLI:
         assert main(["solve", "gpm", "--in", str(inst_path)]) == 2
         assert "missing field 'truth'" in capsys.readouterr().err
 
+    def test_instance_file_not_an_object_exit_code(self, tmp_path, capsys):
+        inst_path = tmp_path / "list.json"
+        inst_path.write_text("[1, 2]")
+        assert main(["solve", "ap", "--in", str(inst_path)]) == 2
+        assert "instance file must hold a JSON object" in capsys.readouterr().err
+
     def test_numeric_failure_exit_code(self, tmp_path):
         # m >= n, but two equal columns leave the measurement matrix rank n - 1
         inst_path = tmp_path / "dup.json"
@@ -642,6 +648,19 @@ class TestBenchmarkHooks:
                 assert set(settings) <= set(params), argv
 
 
+class TestCompareOutputs:
+    def test_command_lines_parse(self, tmp_path):
+        # every command line tools/compare_outputs.py runs is one the CLI accepts
+        path = REPO / "tools" / "compare_outputs.py"
+        spec = importlib.util.spec_from_file_location("compare_outputs", path)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        lines = module.command_lines(tmp_path)
+        assert {argv[0] for argv in lines} == {"bench", "gen", "solve"}
+        for argv in lines:
+            build_parser().parse_args(argv)
+
+
 class TestImports:
     def test_unused_imports_are_perfbench_wrapped(self, bench):
         # an import its module never reads is flagged, unless it carries
@@ -672,6 +691,28 @@ class TestImports:
                         unwrapped.append(where)
         assert unused == []
         assert unwrapped == []
+
+    def test_tests_import_from_defining_module(self):
+        # a test imports each library name from the module that defines it,
+        # never through a module that merely imports it
+        src = REPO / "src" / "lowrankrec"
+        defined = {}
+        for path in src.glob("*.py"):
+            names = set()
+            for node in ast.parse(path.read_text(encoding="utf-8")).body:
+                if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                    names.add(node.name)
+                elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                    targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                    names |= {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+            defined[f"lowrankrec.{path.stem}"] = names
+        indirect = []
+        for path in sorted((REPO / "tests").glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.ImportFrom) and node.module in defined:
+                    indirect += [(path.name, node.module, alias.name) for alias in node.names
+                                 if alias.name not in defined[node.module]]
+        assert indirect == []
 
     def test_cli_import_binds_the_wrapped_modules(self):
         # perfbench imports `lowrankrec, lowrankrec.cli` in a fresh process and

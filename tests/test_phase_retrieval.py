@@ -41,9 +41,11 @@ class TestProjectModulus:
 
 
 class TestAlternatingProjections:
-    def test_solution_is_fixed_point(self):
+    def test_solution_is_fixed_point(self, monkeypatch):
         inst = gen_phase_retrieval(6, 30, "complex-gaussian", RngStream(2))
-        rep = alternating_projections(inst, y0=inst.matrix @ inst.x_true)
+        monkeypatch.setattr(phase_retrieval, "sample_gaussian",
+                            lambda rng, size, field: inst.matrix @ inst.x_true)
+        rep = alternating_projections(inst, RngStream(0))
         assert rep.converged
         assert rep.iterations == 1
         assert rep.rel_error_mod_phase < 1e-10
@@ -62,11 +64,12 @@ class TestAlternatingProjections:
         assert len(r) > 100
         assert np.all(np.diff(r) <= 1e-12 * max(1.0, r[0]))
 
-    def test_phase_equivariance(self):
+    def test_phase_equivariance(self, monkeypatch):
         inst = gen_phase_retrieval(8, 48, "complex-gaussian", RngStream(5))
-        y0 = sample_gaussian(RngStream(6), inst.m, "complex")
-        rep_a = alternating_projections(inst, y0=y0)
-        rep_b = alternating_projections(inst, y0=np.exp(0.7j) * y0)
+        rep_a = alternating_projections(inst, RngStream(6))
+        monkeypatch.setattr(phase_retrieval, "sample_gaussian",
+                            lambda *args: np.exp(0.7j) * sample_gaussian(*args))
+        rep_b = alternating_projections(inst, RngStream(6))
         assert dist_mod_phase(rep_a.estimate, rep_b.estimate) < 1e-8
 
     def test_recovers_at_high_oversampling(self):
@@ -91,7 +94,7 @@ class TestAPIterate:
         inst = gen_phase_retrieval(10, 50, "complex-gaussian", RngStream(42))
         q, _ = qr_projector(inst.matrix)
         b = inst.moduli
-        y0 = y = sample_gaussian(RngStream(43), inst.m, "complex")
+        y = sample_gaussian(RngStream(43), inst.m, "complex")
         Y, iterations, converged = ap_iterate(q, b, y[:, None], 2000, 1e-9)
         for t in range(1, 2001):
             y_new = q @ (q.conj().T @ project_modulus(y, b))
@@ -101,8 +104,8 @@ class TestAPIterate:
                 break
         assert converged[0] and iterations[0] == t
         assert np.array_equal(Y[:, 0], y)
-        # the solver reports the plain loop's last residual
-        rep = alternating_projections(inst, y0=y0)
+        # the solver, drawing the same start, reports the plain loop's last residual
+        rep = alternating_projections(inst, RngStream(43))
         assert rep.residual_trace[-1] == float(np.linalg.norm(np.abs(y) - b))
 
     @pytest.mark.parametrize("kind, max_iter", [("complex-gaussian", 200), ("real-gaussian", 7)])
@@ -194,9 +197,10 @@ class TestSpectralInit:
 
 
 class TestWirtingerFlow:
-    def test_stays_at_solution(self):
+    def test_stays_at_solution(self, monkeypatch):
         inst = gen_phase_retrieval(6, 36, "complex-gaussian", RngStream(31))
-        rep = wirtinger_flow(inst, x0=inst.x_true)
+        monkeypatch.setattr(phase_retrieval, "wf_spectral_init", lambda instance: inst.x_true)
+        rep = wirtinger_flow(inst)
         assert rep.iterations == 0
         assert rep.converged
         assert rep.rel_error_mod_phase == 0.0
@@ -205,8 +209,10 @@ class TestWirtingerFlow:
         inst = gen_phase_retrieval(40, 320, "complex-gaussian", RngStream(32))
         rep = wirtinger_flow(inst)
         assert rep.rel_error_mod_phase < 1e-6
-        r = rep.residual_trace
-        live = r > max(1e-9 * r[0], 1e2 * np.finfo(float).eps)
+        # the quartic loss decays at the square of the residual's rate, so
+        # its floor is the square of the residual floor
+        r = rep.objective_trace
+        live = r > max(1e-18 * r[0], (1e2 * np.finfo(float).eps) ** 2)
         t = np.arange(len(r))[10:][live[10:]]
         y = np.log(r[10:][live[10:]])
         slope, intercept = np.polyfit(t, y, 1)
@@ -219,7 +225,8 @@ class TestWirtingerFlow:
         # from ten times the spectral start the default step overshoots; each
         # loss evaluation beyond one per accepted step is a halving
         inst = gen_phase_retrieval(8, 48, "complex-gaussian", RngStream(33))
-        x0 = 10.0 * wf_spectral_init(inst)
+        monkeypatch.setattr(phase_retrieval, "wf_spectral_init",
+                            lambda instance: 10.0 * wf_spectral_init(instance))
         calls = []
 
         def counted_loss(instance, x):
@@ -227,15 +234,39 @@ class TestWirtingerFlow:
             return wf_loss(instance, x)
 
         monkeypatch.setattr(phase_retrieval, "wf_loss", counted_loss)
-        rep = wirtinger_flow(inst, max_iter=300, x0=x0)
+        rep = wirtinger_flow(inst, max_iter=300)
         assert len(calls) - 1 - rep.iterations >= 1
         assert np.all(np.diff(rep.objective_trace) <= 1e-12 * max(1.0, rep.objective_trace[0]))
 
-    def test_phase_equivariance(self):
+    def test_stall_after_sixty_halvings(self, monkeypatch):
+        # a loss that grows on every call: the first step and its 60 halvings
+        # all fail, after the one evaluation at the start
+        inst = gen_phase_retrieval(6, 36, "complex-gaussian", RngStream(35))
+        calls = []
+
+        def growing_loss(instance, x):
+            calls.append(None)
+            return float(len(calls))
+
+        monkeypatch.setattr(phase_retrieval, "wf_loss", growing_loss)
+        rep = wirtinger_flow(inst)
+        assert not rep.converged
+        assert rep.iterations == 0
+        assert len(calls) == 62
+
+    def test_reports_final_residual(self):
+        inst = gen_phase_retrieval(6, 36, "complex-gaussian", RngStream(38))
+        rep = wirtinger_flow(inst, max_iter=20)
+        assert rep.iterations == 20
+        assert list(rep.residual_trace) == [
+            np.linalg.norm(np.abs(inst.matrix @ rep.estimate) - inst.moduli)]
+
+    def test_phase_equivariance(self, monkeypatch):
         inst = gen_phase_retrieval(8, 48, "complex-gaussian", RngStream(34))
-        x0 = wf_spectral_init(inst)
-        rep_a = wirtinger_flow(inst, x0=x0)
-        rep_b = wirtinger_flow(inst, x0=np.exp(0.9j) * x0)
+        rep_a = wirtinger_flow(inst)
+        monkeypatch.setattr(phase_retrieval, "wf_spectral_init",
+                            lambda instance: np.exp(0.9j) * wf_spectral_init(instance))
+        rep_b = wirtinger_flow(inst)
         assert dist_mod_phase(rep_a.estimate, rep_b.estimate) < 1e-8
 
     def test_report_without_ground_truth(self):

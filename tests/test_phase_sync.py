@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from lowrankrec.errors import NonConvergence
-from lowrankrec.numerics import RngStream, sample_gaussian
+from lowrankrec import phase_sync
+from lowrankrec.errors import NonConvergence, NumericFailure
+from lowrankrec.numerics import RngStream, sample_gaussian, torus_project
 from lowrankrec.phase_sync import (
     _aux_matvec,
     _aux_principal,
@@ -13,7 +14,6 @@ from lowrankrec.phase_sync import (
     gpm,
     loo_run,
     mle_objective,
-    torus_project,
 )
 from lowrankrec.problems import dist_mod_phase, gen_sync
 
@@ -123,6 +123,12 @@ class TestMLEObjective:
         obj = report.objective_trace
         assert np.all(np.diff(obj) >= -1e-9 * max(1.0, abs(obj[-1])))
 
+    def test_non_hermitian_matrix_raised(self):
+        # z* C z = C_01 = 1j at z = (1, 1): an imaginary part no Hermitian C has
+        C = np.array([[0.0, 1j], [0.0, 0.0]])
+        with pytest.raises(NumericFailure):
+            mle_objective(C, np.ones(2, dtype=complex))
+
     def test_global_phase_invariance(self):
         inst = gen_sync(12, 0.5, RngStream(12))
         z = torus_project(sample_gaussian(RngStream(13), 12, "complex"))
@@ -193,11 +199,11 @@ class TestLeaveOneOut:
             assert np.array_equal(diag.max_corr_main, ref[1])
             assert np.array_equal(diag.max_corr_aux, ref[2])
 
-    def test_aux_principal_non_convergence_raised(self):
+    def test_aux_principal_non_convergence_raised(self, monkeypatch):
         inst = gen_sync(20, 0.3, RngStream(20))
+        monkeypatch.setattr(phase_sync, "_AUX_MAX_ITER", 1)
         with pytest.raises(NonConvergence):
-            _aux_principal(inst.observations, inst.noise, _principal_vector(inst.observations),
-                           max_iter=1)
+            _aux_principal(inst.observations, inst.noise, _principal_vector(inst.observations))
 
     def test_aux_principal_is_top_eigenvector_of_each_dense_matrix(self):
         n = 12
