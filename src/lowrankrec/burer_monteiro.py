@@ -6,8 +6,9 @@ manifold).  PhaseCut costs are solved by Levenberg-Marquardt on their
 variable-projected form, every other cost by Riemannian gradient descent
 with Armijo line search.  Cost constructors are provided for the
 phase-retrieval (PhaseCut) and synchronization relaxations, together with
-rank-one rounding, a sampled second-order criticality probe and a
-high-rank reference solver.
+rank-one rounding, a sampled second-order criticality probe, a dual
+certificate and the reference width ceil(sqrt(2N)) + 1, at which one
+converged solve is generically an SDP optimum.
 """
 
 from __future__ import annotations
@@ -281,7 +282,12 @@ def _vp_lm(problem, X, max_iter, threshold):
             mu, floor = 1e-3 * scale, 1e-12 * scale
         if not math.isfinite(mu):
             return X, trace, steps, False  # no step decreases g any more
-        h = -np.linalg.solve(J.T @ J + mu * np.eye(2 * k), grad)
+        if 2 * k > m:
+            # the same step from the smaller system: (J^T J + mu I)^-1 J^T =
+            # J^T (J J^T + mu I)^-1 (Nocedal & Wright, Numerical Optimization, 10.3)
+            h = -J.T @ np.linalg.solve(J @ J.T + mu * np.eye(m), r)
+        else:
+            h = -np.linalg.solve(J.T @ J + mu * np.eye(2 * k), grad)
         if (np.linalg.norm(h) <= _LM_XTOL * np.linalg.norm(X)
                 and np.linalg.norm(riemannian_grad(problem, _unit_rows(Y))) < threshold):
             return X, trace, steps, True
@@ -380,30 +386,13 @@ def sosp_probe(problem, V, trials, rng):
     return SOSPCertificate(min_quadform=qmin, factor_rank=rank)
 
 
-REFERENCE_MAX_N = 512
-
-
 def reference_rank(N):
-    """Factor width making the rank-deficiency guarantee hold with margin."""
-    return math.ceil(math.sqrt(2 * N)) + 1
+    """Factor width making the rank-deficiency guarantee hold with margin.
 
-
-def reference_sdp_solve(problem, rng):
-    """SDP-value oracle: high-rank factor descent from three starts.
-
-    Uses p = ceil(sqrt(2N)) + 1 so that p(p+1)/2 > N (the number of affine
-    constraints), the regime where spurious second-order critical points
-    generically do not exist; each start runs at most 50,000 steps.  Returns
-    the best (value, factor) over the starts.
+    p = ceil(sqrt(2N)) + 1 gives p(p+1)/2 > N, the number of affine
+    constraints, where spurious second-order critical points generically do
+    not exist (Boumal, Voroninski & Bandeira, arXiv 1804.02008): one
+    converged riemannian_gd solve at this width is an SDP optimum, which
+    dual_certificate can prove.
     """
-    if problem.dim > REFERENCE_MAX_N:
-        raise ValueError(f"reference solver limited to N <= {REFERENCE_MAX_N}")
-    p = reference_rank(problem.dim)
-    best = None
-    for s in range(3):
-        V, rep = riemannian_gd(problem, p, rng.split(s), max_iter=50000)
-        val = rep.objective_trace[-1]
-        if best is None or val < best[0]:
-            best = (float(val), V)
-    return best
-
+    return math.ceil(math.sqrt(2 * N)) + 1

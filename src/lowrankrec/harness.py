@@ -16,8 +16,8 @@ import numpy as np
 
 # opnorm_estimate is unused here but stays importable: perfbench/bench.py
 # wraps harness.opnorm_estimate by name in its traced runs
-from .burer_monteiro import (REFERENCE_MAX_N, opnorm_estimate, phasecut_cost,  # noqa: F401
-                             reference_rank, reference_sdp_solve, riemannian_gd, round_factor)
+from .burer_monteiro import (opnorm_estimate, phasecut_cost, reference_rank,  # noqa: F401
+                             riemannian_gd, round_factor)
 from .errors import RankDeficient
 from .landscape import basin_map, displacement_probe
 from .numerics import RngStream, sample_gaussian
@@ -27,6 +27,9 @@ from .problems import ENSEMBLE_KINDS, gen_phase_retrieval, gen_sync, haar_frame,
 
 # experiment tags for stream splitting
 _TAG_FIG1, _TAG_BASIN, _TAG_FIG3, _TAG_SYNC, _TAG_FIG5 = 1, 2, 3, 4, 5
+
+# fig1 phasecut's largest m: each step of its reference-width solve factors an m x m system
+REFERENCE_MAX_N = 512
 
 # CSV header of the fig1 and fig5 success curves
 SUCCESS_HEADER = ("algorithm", "n", "m", "trials", "successes", "success_rate", "seed")
@@ -129,10 +132,15 @@ def _ap_trial(inst, rng, tau, max_iter):
     return alternating_projections(inst, rng, max_iter=max_iter).rel_error_mod_phase < tau
 
 
-def _bm_trial(inst, solve, tau):
-    """Round the factor solve returns for inst's PhaseCut cost and score it."""
+def _bm_trial(inst, p, rng, tau, max_iter):
+    """Solve inst's PhaseCut cost at width p from rng, round the factor and score it.
+
+    The solver's own stop test suffices: a converged factor rounds to the
+    signal's accuracy, far below tau, whenever it reached the optimum.
+    """
     prob = phasecut_cost(inst)
-    return rel_error_mod_phase(round_factor(prob, solve(prob)), inst.x_true) < tau
+    V = riemannian_gd(prob, p, rng, max_iter=max_iter)[0]
+    return rel_error_mod_phase(round_factor(prob, V), inst.x_true) < tau
 
 
 def run_fig1(*, seed=0, n=40, mn_grid=(2.0, 2.5, 3.0, 3.5, 4.0, 4.5, 5.0, 5.5, 6.0, 6.5, 7.0, 7.5),
@@ -146,13 +154,13 @@ def run_fig1(*, seed=0, n=40, mn_grid=(2.0, 2.5, 3.0, 3.5, 4.0, 4.5, 5.0, 5.5, 6
     _check_ratios(mn_grid, n)
     if "phasecut" in algos:
         _check_values("mn_grid", mn_grid, lambda r: round(r * n) <= REFERENCE_MAX_N,
-                      f"phasecut's reference solver needs m <= {REFERENCE_MAX_N}")
+                      f"phasecut's reference-width solve needs m <= {REFERENCE_MAX_N}")
         _check_values("mn_grid", mn_grid,
                       lambda r: not (m := round(r * n)) or reference_rank(m) <= m,
                       "phasecut's reference width ceil(sqrt(2m)) + 1 must be <= m")
     trial = {"ap": lambda inst, rng: _ap_trial(inst, rng.split(1), tau, max_iter),
              "phasecut": lambda inst, rng: _bm_trial(
-                 inst, lambda prob: reference_sdp_solve(prob, rng.split(1))[1], tau)}
+                 inst, reference_rank(inst.m), rng.split(1, 0), tau, max_iter)}
     rows = [row for algo in algos for row in _success_rows(
         algo, (_TAG_FIG1,), "complex-gaussian", n, mn_grid, trials, seed, trial[algo])]
     if out:
@@ -206,10 +214,8 @@ def run_fig5(*, seed=0, n=32, mn_grid=(0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8
                   f"factor width must be <= m = {m}")
 
     def bm(p, pi):
-        # the solver's own stop test: a converged factor rounds to the
-        # signal's accuracy, far below tau, whenever it reached the optimum
-        return lambda inst, rng: _bm_trial(inst, lambda prob: riemannian_gd(
-            prob, _width(p, inst.m), rng.split(1 + pi), max_iter=max_iter)[0], tau)
+        return lambda inst, rng: _bm_trial(inst, _width(p, inst.m), rng.split(1 + pi), tau,
+                                           max_iter)
 
     rows = [row for ki, kind in enumerate(ensembles) for pi, p in enumerate(p_values)
             for row in _success_rows(f"bm-p{p}/{kind}", (_TAG_FIG5, ki), kind, n, mn_grid,

@@ -122,7 +122,7 @@ def wirtinger_flow(instance, max_iter=5000):
 
     The step is WF_STEP_SCALE / mean(b^2); it halves whenever the loss would
     increase (and the reduced step is kept), so the objective trace is
-    non-increasing.  Stops when ||grad|| < 1e-9 * mean(b^2)^(3/2), after 60
+    non-increasing.  Stops when ||grad|| <= 1e-9 * mean(b^2)^(3/2), after 60
     halvings that do not reduce the loss, or at max_iter.  residual_trace
     holds the one final residual || |Bx| - b ||.
     """
@@ -138,7 +138,7 @@ def wirtinger_flow(instance, max_iter=5000):
     for _ in range(max_iter):
         g = wf_grad(instance, x)
         gn = float(np.linalg.norm(g))
-        if gn < grad_threshold:
+        if gn <= grad_threshold:  # <=: all-zero moduli give threshold 0 at the exact x = 0
             converged = True
             break
         cand = x - mu * g

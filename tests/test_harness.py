@@ -331,9 +331,9 @@ class TestCLI:
          "--mn-grid: m/n must be finite and >= 0, got -1.0"),
         (["sync", "--n", "20", "--sigma", "0,inf"], "gpm", "--sigma: sigma must be finite, got inf"),
         (["fig1", "--n", "8", "--mn-grid", "3,70", "--trials", "1", "--algos", "ap,phasecut"],
-         "_ap_trial", "--mn-grid: phasecut's reference solver needs m <= 512, got 70.0"),
+         "_ap_trial", "--mn-grid: phasecut's reference-width solve needs m <= 512, got 70.0"),
         (["fig1", "--n", "8", "--mn-grid", "3,70", "--trials", "1", "--algos", "phasecut"],
-         "reference_sdp_solve", "--mn-grid: phasecut's reference solver needs m <= 512, got 70.0"),
+         "riemannian_gd", "--mn-grid: phasecut's reference-width solve needs m <= 512, got 70.0"),
         (["fig5", "--n", "4", "--mn-grid", "3,1", "--p", "5", "--trials", "1",
           "--ensemble", "complex-gaussian"], "riemannian_gd",
          "--p: factor width must be <= m = 4, got 5"),
@@ -341,7 +341,7 @@ class TestCLI:
          "--p: factor width must be <= m = 1, got 'ref'"),
         # m = 0 passes; m = 2 is below the reference width ceil(sqrt(4)) + 1 = 3
         (["fig1", "--n", "2", "--mn-grid", "0,3,1", "--trials", "1", "--algos", "phasecut"],
-         "reference_sdp_solve",
+         "riemannian_gd",
          "--mn-grid: phasecut's reference width ceil(sqrt(2m)) + 1 must be <= m, got 1.0"),
         (["fig1", "--n", "8", "--mn-grid", "3", "--trials", "1", "--algos", "ap,ap"], "_ap_trial",
          "--algos: repeats ap of an earlier entry, got 'ap'"),
@@ -435,7 +435,8 @@ class TestCLI:
 
     def test_trial_stream_layout(self, monkeypatch):
         # trial ti at grid point gi draws its instance on (tag, [ensemble,] gi, ti, 0)
-        # and its solver on (..., 1), or (..., 1 + width index) in fig5; CSV bytes rest on it
+        # and its solver on (..., 1), (..., 1, 0) for phasecut, or (..., 1 + width index)
+        # in fig5; CSV bytes rest on it
         calls = []
 
         def recording(name, fn, stream_arg):
@@ -445,7 +446,7 @@ class TestCLI:
             return wrapper
 
         for name, stream_arg in [("gen_phase_retrieval", 3), ("alternating_projections", 1),
-                                 ("reference_sdp_solve", 1), ("riemannian_gd", 2)]:
+                                 ("riemannian_gd", 2)]:
             monkeypatch.setattr(harness, name, recording(name, getattr(harness, name),
                                                          stream_arg))
         run_fig1(n=4, mn_grid=(0, 3), trials=2, algos=("ap", "phasecut"))
@@ -455,9 +456,9 @@ class TestCLI:
             ("gen_phase_retrieval", 12, "complex-gaussian", (1, 1, 1, 0)),
             ("alternating_projections", (1, 1, 1, 1)),
             ("gen_phase_retrieval", 12, "complex-gaussian", (1, 1, 0, 0)),
-            ("reference_sdp_solve", (1, 1, 0, 1)),
+            ("riemannian_gd", 6, (1, 1, 0, 1, 0)),
             ("gen_phase_retrieval", 12, "complex-gaussian", (1, 1, 1, 0)),
-            ("reference_sdp_solve", (1, 1, 1, 1)),
+            ("riemannian_gd", 6, (1, 1, 1, 1, 0)),
         ]
         calls.clear()
         kinds = ("complex-gaussian", "structured-frame")

@@ -254,6 +254,15 @@ class TestWirtingerFlow:
         assert rep.iterations == 0
         assert len(calls) == 62
 
+    def test_all_zero_moduli_converge_at_start(self):
+        # x = 0 is exact and its gradient is 0, as is the stop threshold
+        inst = gen_phase_retrieval(6, 36, "complex-gaussian", RngStream(39))
+        zero = dataclasses.replace(inst, moduli=np.zeros(inst.m), x_true=None)
+        rep = wirtinger_flow(zero)
+        assert rep.converged
+        assert rep.iterations == 0
+        assert not np.any(rep.estimate)
+
     def test_reports_final_residual(self):
         inst = gen_phase_retrieval(6, 36, "complex-gaussian", RngStream(38))
         rep = wirtinger_flow(inst, max_iter=20)

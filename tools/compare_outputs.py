@@ -12,8 +12,10 @@ difference or failed command.
 The list holds the perfbench command lines at seed 101 (taken from
 perfbench/bench.py, which is only imported), the fig5 configurations of
 acceptance criterion 2 and the reruns of criterion 10, small fig1/fig5 grids
-that reach m = 0, m < n, the reference width and the real field, and `gen`
-files with `solve` runs on each of them.
+that reach m = 0, m < n, the reference width and the real field, fig5 `ref`
+at n = 32 on two ensembles and fig1 `phasecut` at n = 40 (reference widths
+where Levenberg-Marquardt solves its m x m system), and `gen` files with
+`solve` runs on each of them.
 """
 
 from __future__ import annotations
@@ -49,6 +51,12 @@ BENCH = [
     ["fig1", "--n", "16", "--mn-grid", "3,5", "--trials", "3", "--algos", "phasecut"],
     ["fig5", "--n", "8", "--mn-grid", "3,6", "--trials", "5", "--p", "1,2",
      "--ensemble", "real-gaussian,complex-gaussian"],
+    # the reference width at the acceptance sizes, where LM takes the m x m step
+    ["fig5", "--n", "32", "--mn-grid", "4,8", "--p", "ref", "--trials", "2",
+     "--ensemble", "complex-gaussian"],
+    ["fig5", "--n", "32", "--mn-grid", "4,8", "--p", "ref", "--trials", "2",
+     "--ensemble", "structured-frame"],
+    ["fig1", "--n", "40", "--mn-grid", "4", "--trials", "2", "--algos", "phasecut"],
 ]
 
 # instance files: name -> `gen` arguments, and the solvers run on each
