@@ -70,6 +70,8 @@ def torus_project(z):
     """Entrywise phase extraction z_k / |z_k|, with zero entries mapped to 1."""
     z = np.asarray(z)
     a = np.abs(z)
+    if (a > 0).all():  # the masked divide's own ufunc loop, without the mask
+        return z / a
     return np.divide(z, a, out=np.ones_like(z, dtype=np.result_type(z, 1.0)), where=a > 0)
 
 

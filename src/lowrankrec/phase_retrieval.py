@@ -14,6 +14,9 @@ _SPECTRAL_SEED = 0x1A57  # fixed internal stream: solvers are deterministic give
 # Wirtinger Flow's first step is WF_STEP_SCALE / mean(b^2)
 WF_STEP_SCALE = 0.1
 
+# AP steps per stop test; a block of more than one step holds at most 2**14 entries
+_BLOCK_STEPS = 16
+
 
 def project_modulus(y, b):
     """Nearest point with |y'_k| = b_k; zero entries take phase 1."""
@@ -25,9 +28,16 @@ def ap_iterate(q, b, Y, max_iter, tol):
 
     q is the thin-QR factor of the measurement matrix.  A column stops when
     its change is at most tol times its norm, or after max_iter steps; the
-    columns still running are kept as one contiguous block, compacted only
+    columns still running are kept as one contiguous array, compacted only
     when some column stops.  Returns the final columns and each column's
     step count and stop flag.  || |y_t| - b || is non-increasing in t.
+
+    The steps run in blocks of up to _BLOCK_STEPS, and the stop test runs
+    once per block, over all of its steps.  A block in which some column
+    stops ends at its first stopping step: the steps after it are discarded,
+    the stopped columns leave, and the next block starts there.  So each
+    step runs on the same live columns as with a test after every step, and
+    every iterate, step count and stop flag has the same bits.
     """
     Y = np.asarray(Y)
     K = Y.shape[1]
@@ -37,23 +47,37 @@ def ap_iterate(q, b, Y, max_iter, tol):
     iterations = np.full(K, max_iter)
     converged = np.zeros(K, dtype=bool)
     live = np.arange(K)
-    for it in range(1, max_iter + 1):
-        Y_new = q @ (qh @ project_modulus(Y, bc))
-        D = Y_new - Y
+    it = 0
+    while live.size and it < max_iter:
+        S = min(_BLOCK_STEPS, max(1, 2 ** 14 // Y.size), max_iter - it)
+        H = np.empty((S,) + Y.shape, dtype=out.dtype)
+        prev = Y
+        for j in range(S):
+            prev = np.matmul(q, qh @ project_modulus(prev, bc), out=H[j])
+        D = np.empty_like(H)
+        np.subtract(H[0], Y, out=D[0])
+        np.subtract(H[1:], H[:-1], out=D[1:])
         # vecdot is the cheapest column norm at one column, where AP is
         # bound by per-call overhead
-        change = np.sqrt(np.vecdot(D, D, axis=0).real)
-        norm = np.sqrt(np.vecdot(Y_new, Y_new, axis=0).real)
+        change = np.sqrt(np.vecdot(D, D, axis=-2).real)
+        norm = np.sqrt(np.vecdot(H, H, axis=-2).real)
+        # D, and H once some column stops, are freed before the next block
+        # allocates, so peak memory stays that of one block
+        del D
         done = change <= tol * np.maximum(norm, 1e-300)
-        Y = Y_new
-        if done.any():
-            stopped = live[done]
-            out[:, stopped] = Y[:, done]
-            iterations[stopped] = it
-            converged[stopped] = True
-            live, Y = live[~done], Y[:, ~done]
-            if live.size == 0:
-                break
+        if not done.any():
+            it += S
+            Y = H[-1]
+            continue
+        j = int(done.any(axis=1).argmax())
+        it += j + 1
+        done = done[j]
+        stopped = live[done]
+        out[:, stopped] = H[j][:, done]
+        iterations[stopped] = it
+        converged[stopped] = True
+        live, Y = live[~done], H[j][:, ~done]
+        del H
     out[:, live] = Y
     return out, iterations, converged
 

@@ -125,6 +125,101 @@ class TestAPIterate:
             assert np.linalg.norm(y[:, 0] - Y[:, k]) <= 1e-12 * np.linalg.norm(Y[:, k])
 
 
+def _stepwise_ap(q, b, Y, max_iter, tol):
+    # the AP loop with a stop test after every step: the columns still
+    # running form one array, compacted in the step where some column stops
+    out = np.array(Y, dtype=np.result_type(q, Y))
+    iterations = np.full(Y.shape[1], max_iter)
+    converged = np.zeros(Y.shape[1], dtype=bool)
+    live = np.arange(Y.shape[1])
+    for t in range(1, max_iter + 1):
+        Y_new = q @ (q.conj().T @ project_modulus(Y, b[:, None]))
+        done = np.linalg.norm(Y_new - Y, axis=0) <= tol * np.linalg.norm(Y_new, axis=0)
+        Y = Y_new
+        stopped = live[done]
+        out[:, stopped] = Y[:, done]
+        iterations[stopped] = t
+        converged[stopped] = True
+        live, Y = live[~done], Y[:, ~done]
+    out[:, live] = Y
+    return out, iterations, converged
+
+
+def _trajectory(q, b, y, steps):
+    # the iterates y_0 .. y_steps of one column and each step's relative change
+    ys, ratios = [y], []
+    for _ in range(steps):
+        y_new = q @ (q.conj().T @ project_modulus(y, b[:, None]))
+        ratios.append(np.linalg.norm(y_new - y) / np.linalg.norm(y_new))
+        ys.append(y_new)
+        y = y_new
+    return ys, np.array(ratios)
+
+
+def _tol_first_met_at(ratios, t):
+    # a tol that the ratios first meet at step t, by a margin far above
+    # rounding: the geometric mean of step t's ratio and the least ratio
+    # before it, or 4 times step t's ratio, whichever is less
+    earlier = ratios[:t - 1].min() if t > 1 else np.inf
+    assert ratios[t - 1] < earlier
+    return float(np.sqrt(ratios[t - 1] * min(earlier, 4.0 * ratios[t - 1])))
+
+
+class TestAPIterateBlocks:
+    # the stop test runs once per block of _BLOCK_STEPS steps; every
+    # iterate, count and flag must have the bits of a test after each step.
+    # Real AP reaches an exact fixed point within a few steps, so the real
+    # field runs with blocks of 3
+    CASES = [("complex-gaussian", 10, 50, phase_retrieval._BLOCK_STEPS),
+             ("real-gaussian", 40, 120, 3)]
+
+    @pytest.fixture(params=CASES, ids=[case[0] for case in CASES])
+    def case(self, request, monkeypatch):
+        kind, n, m, S = request.param
+        monkeypatch.setattr(phase_retrieval, "_BLOCK_STEPS", S)
+        inst = gen_phase_retrieval(n, m, kind, RngStream(60))
+        q, _ = qr_projector(inst.matrix)
+        y = sample_gaussian(RngStream(61), inst.m, inst.field)[:, None]
+        return q, inst.moduli, y, S
+
+    @staticmethod
+    def _assert_same_bits(q, b, Y, max_iter, tol):
+        got = ap_iterate(q, b, Y, max_iter, tol)
+        want = _stepwise_ap(q, b, Y, max_iter, tol)
+        assert got[0].tobytes() == want[0].tobytes()
+        assert np.array_equal(got[1], want[1]) and np.array_equal(got[2], want[2])
+        return want
+
+    @pytest.mark.parametrize("where", ["first step", "last step of a block",
+                                       "first step of the next block"])
+    def test_single_column_stop(self, case, where):
+        q, b, y, S = case
+        step = {"first step": 1, "last step of a block": S,
+                "first step of the next block": S + 1}[where]
+        _, ratios = _trajectory(q, b, y, step)
+        tol = _tol_first_met_at(ratios, step)
+        _, iterations, converged = self._assert_same_bits(q, b, y, 4 * S, tol)
+        assert (iterations[0], converged[0]) == (step, True)
+
+    def test_cap_inside_a_block(self, case):
+        q, b, y, S = case
+        _, iterations, converged = self._assert_same_bits(q, b, y, 2 * S - 1, 1e-9)
+        assert (iterations[0], converged[0]) == (2 * S - 1, False)
+
+    def test_batch_stops_at_different_steps_of_one_block(self, case):
+        # column k starts at step s_k of one trajectory, so it first meets
+        # the tol of step 2S at step 2S - s_k: three stops at different
+        # steps of the second block, and one at the first step
+        q, b, y, S = case
+        ys, ratios = _trajectory(q, b, y, 2 * S)
+        tol = _tol_first_met_at(ratios, 2 * S)
+        offsets = [0, 1, S - 1, 2 * S - 1]
+        Y = np.hstack([ys[s] for s in offsets])
+        _, iterations, converged = self._assert_same_bits(q, b, Y, 4 * S, tol)
+        assert list(iterations) == [2 * S - s for s in offsets]
+        assert converged.all()
+
+
 class TestWFLossGrad:
     def test_loss_zero_at_solution_and_phases(self):
         inst = gen_phase_retrieval(5, 25, "complex-gaussian", RngStream(11))

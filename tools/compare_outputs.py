@@ -14,8 +14,9 @@ perfbench/bench.py, which is only imported), the fig5 configurations of
 acceptance criterion 2 and the reruns of criterion 10, small fig1/fig5 grids
 that reach m = 0, m < n, the reference width and the real field, fig5 `ref`
 at n = 32 on two ensembles and fig1 `phasecut` at n = 40 (reference widths
-where Levenberg-Marquardt solves its m x m system), and `gen` files with
-`solve` runs on each of them.
+where Levenberg-Marquardt solves its m x m system), fig1 AP trials capped at
+37 steps, inside a block of alternating projections' stop test, and `gen`
+files with `solve` runs on each of them.
 """
 
 from __future__ import annotations
@@ -57,6 +58,8 @@ BENCH = [
     ["fig5", "--n", "32", "--mn-grid", "4,8", "--p", "ref", "--trials", "2",
      "--ensemble", "structured-frame"],
     ["fig1", "--n", "40", "--mn-grid", "4", "--trials", "2", "--algos", "phasecut"],
+    # AP trials capped at a step count inside a block of ap_iterate's stop test
+    ["fig1", "--n", "40", "--mn-grid", "2.5", "--trials", "4", "--max-iter", "37"],
 ]
 
 # instance files: name -> `gen` arguments, and the solvers run on each
