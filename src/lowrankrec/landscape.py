@@ -92,8 +92,11 @@ def displacement_probe(algorithm, instance, d, pairs, rng):
 
         def T(X):
             Y = B @ X
-            R = np.abs(Y) ** 2 - (b ** 2)[:, None]
-            return X - mu * (B.T @ (R * Y)) / m
+            # R = (|Y|^2 - b^2) Y in one buffer; Y * Y is |Y|^2 exactly
+            R = np.square(Y)
+            R -= (b ** 2)[:, None]
+            R *= Y
+            return X - mu * (B.T @ R) / m
 
     else:
         raise ValueError(f"unknown algorithm {algorithm!r}")
@@ -129,8 +132,9 @@ def basin_map(instance, center, dirs, half_width, grid, max_iter=2000):
          + d2[:, None] * A2.ravel()[None, :])
     K = P.shape[1]
 
-    Y0 = q @ (q.T @ (B @ P))  # start in-range: y0 = projection of B p
-    X = solve_from_qr(q, r, ap_iterate(q, b, Y0, max_iter, 1e-10)[0])
+    # start in-range, y0 = projection of B p; no name holds the start block,
+    # so ap_iterate frees it after its first block of steps
+    X = solve_from_qr(q, r, ap_iterate(q, b, q @ (q.T @ (B @ P)), max_iter, 1e-10)[0])
 
     radius = 1e-4 * float(np.linalg.norm(instance.x_true))
     # each start joins the nearest cluster representative within radius,

@@ -70,7 +70,9 @@ def torus_project(z):
     """Entrywise phase extraction z_k / |z_k|, with zero entries mapped to 1."""
     z = np.asarray(z)
     a = np.abs(z)
-    if (a > 0).all():  # the masked divide's own ufunc loop, without the mask
+    # a.min() propagates NaN, so one reduction finds zero and NaN moduli;
+    # with none, the masked divide's own ufunc loop runs without the mask
+    if not a.size or a.min() > 0:
         return z / a
     return np.divide(z, a, out=np.ones_like(z, dtype=np.result_type(z, 1.0)), where=a > 0)
 

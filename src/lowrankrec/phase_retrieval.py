@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 # qr_projector is unused but stays importable: perfbench/bench.py wraps it by name
@@ -19,8 +21,31 @@ _BLOCK_STEPS = 16
 
 
 def project_modulus(y, b):
-    """Nearest point with |y'_k| = b_k; zero entries take phase 1."""
-    return b * torus_project(y)
+    """Nearest point with |y'_k| = b_k; zero entries take phase 1.
+
+    b broadcasts against y without enlarging it, and the result is b times
+    a phase array that is written once and scaled in place.  Real float64 y
+    whose entries are all finite and nonzero takes the sign path: the phase
+    is sign(y), since y_k / |y_k| is exactly +-1 there, so the result has the
+    bits of b * torus_project(y) for every b.  Any other y, and real y with
+    a zero, NaN or infinite entry, takes torus_project's divide.
+    """
+    y = np.asarray(y)
+    if y.dtype == np.float64 and _finite_nonzero(y):
+        p = np.sign(y)
+    else:
+        p = torus_project(y)
+    return np.multiply(b, p, out=p)
+
+
+def _finite_nonzero(y):
+    """Whether every entry of real y is finite and nonzero; true when y is empty.
+
+    min and max propagate NaN; none of the three reductions copies y,
+    whatever its memory layout, or warns.
+    """
+    return not y.size or (np.count_nonzero(y) == y.size
+                          and math.isfinite(y.min()) and math.isfinite(y.max()))
 
 
 def ap_iterate(q, b, Y, max_iter, tol):
@@ -32,6 +57,13 @@ def ap_iterate(q, b, Y, max_iter, tol):
     when some column stops.  Returns the final columns and each column's
     step count and stop flag.  || |y_t| - b || is non-increasing in t.
 
+    Memory: besides Y, the loop holds the output, two blocks of iterates
+    (the current one and the one before it, for which Y stands in during
+    the first block) and one modulus projection or the block's step
+    differences: with one-step blocks, about four arrays the size of Y.
+    Y is not modified; when the caller keeps no reference to it, it is
+    freed after the first block.
+
     The steps run in blocks of up to _BLOCK_STEPS, and the stop test runs
     once per block, over all of its steps.  A block in which some column
     stops ends at its first stopping step: the steps after it are discarded,
@@ -42,8 +74,10 @@ def ap_iterate(q, b, Y, max_iter, tol):
     Y = np.asarray(Y)
     K = Y.shape[1]
     qh = q.conj().T
-    bc = b[:, None]
-    out = np.array(Y, dtype=np.result_type(q, Y))
+    # b cast once to the iterates' type: the multiply in project_modulus
+    # would cast it on every step, to the same values
+    bc = np.asarray(b, dtype=np.result_type(b, Y))[:, None]
+    out = np.empty(Y.shape, dtype=np.result_type(q, Y))  # every column is written below
     iterations = np.full(K, max_iter)
     converged = np.zeros(K, dtype=bool)
     live = np.arange(K)

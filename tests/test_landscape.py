@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -200,6 +202,17 @@ class TestBasinMap:
         (_, limits), ((inst, *_), out) = seen
         assert out is labels
         np.testing.assert_array_equal(labels.ravel(), greedy_labels(limits, inst.x_true))
+
+    def test_memory_at_the_landscape_size(self):
+        # 10,201 starts of m = 400: ap_iterate's four batch-size arrays,
+        # with no start block held beside them
+        tracemalloc.start()
+        try:
+            run_basin(seed=101, n=20, grid=101)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / (400 * 101 * 101 * 8) < 4.5
 
 
 @settings(deadline=None, derandomize=True, database=None, max_examples=60)

@@ -165,13 +165,14 @@ class TestTorusProjectProperties:
         assert np.all(p[z == 0] == 1.0)
         assert np.allclose(np.abs(p), 1.0, rtol=0.0, atol=1e-15)
 
-    @pytest.mark.parametrize("shape", [(7,), (40, 3)])
+    @pytest.mark.parametrize("shape", [(7,), (40, 1), (40, 3), (40, 0)])
     @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
-    @pytest.mark.parametrize("fill", [None, 0.0, np.nan])
+    @pytest.mark.parametrize("fill", [None, 0.0, -0.0, np.nan, np.inf])
     def test_same_bits_as_the_masked_divide(self, shape, dtype, fill):
-        # with every |z_k| > 0 torus_project divides unmasked; both forms run
-        # one ufunc loop, so every entry has the masked form's bits, and
-        # zero and NaN entries still map to 1
+        # with every |z_k| > 0 (one NaN-propagating min) torus_project
+        # divides unmasked; both forms run one ufunc loop, so every entry
+        # has the masked form's bits, zero and NaN entries still map to 1,
+        # and an empty array passes through
         g = np.random.default_rng(3)
         z = g.standard_normal(shape).astype(dtype)
         if dtype == np.complex128:
@@ -179,7 +180,8 @@ class TestTorusProjectProperties:
         if fill is not None:
             z.flat[::3] = fill
         a = np.abs(z)
-        masked = np.divide(z, a, out=np.ones_like(z), where=a > 0)
-        p = torus_project(z)
+        with np.errstate(invalid="ignore"):  # inf / inf in both forms
+            masked = np.divide(z, a, out=np.ones_like(z), where=a > 0)
+            p = torus_project(z)
         assert (p.dtype, p.shape) == (masked.dtype, masked.shape)
         assert p.tobytes() == masked.tobytes()

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -38,6 +39,35 @@ class TestProjectModulus:
         for _ in range(100):
             z = b * np.exp(2j * np.pi * rng.generator.random(10))
             assert d0 <= np.linalg.norm(z - y) + 1e-12
+
+    @pytest.mark.parametrize("shape", [(40,), (40, 1), (40, 5), (40, 0)])
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    @pytest.mark.parametrize("fill", [None, 0.0, -0.0, np.nan, np.inf, 1e308])
+    @pytest.mark.parametrize("moduli", ["positive", "signed zeros"])
+    def test_same_bits_as_b_times_the_masked_divide(self, shape, dtype, fill, moduli):
+        # the reference is b times the masked divide, zero and NaN entries
+        # taking phase 1; real y without such entries takes the sign path,
+        # whose bits must equal it for every b, -0.0 and the -1e-13 that
+        # the instance loader tolerates included
+        g = np.random.default_rng(8)
+        y = g.standard_normal(shape).astype(dtype)
+        if dtype == np.complex128:
+            y += 1j * g.standard_normal(shape)
+        if fill is not None:
+            y.flat[::3] = fill
+        b = np.abs(g.standard_normal(40))
+        if moduli == "signed zeros":
+            b[::4], b[1::4], b[2::8] = 0.0, -0.0, -1e-13
+        if len(shape) == 2:
+            b = b[:, None]  # one column of moduli, broadcast against the batch
+        y0 = y.copy()
+        a = np.abs(y)
+        with np.errstate(invalid="ignore"):  # inf / inf in both forms
+            want = b * np.divide(y, a, out=np.ones_like(y), where=a > 0)
+            got = project_modulus(y, b)
+        assert (got.dtype, got.shape) == (want.dtype, want.shape)
+        assert got.tobytes() == want.tobytes()
+        assert y.tobytes() == y0.tobytes()
 
 
 class TestAlternatingProjections:
@@ -163,6 +193,26 @@ def _tol_first_met_at(ratios, t):
     earlier = ratios[:t - 1].min() if t > 1 else np.inf
     assert ratios[t - 1] < earlier
     return float(np.sqrt(ratios[t - 1] * min(earlier, 4.0 * ratios[t - 1])))
+
+
+class TestAPIterateMemory:
+    def test_four_arrays_of_the_batch_and_the_input_kept(self):
+        # a real batch of 400 x 3000 runs one-step blocks (Y.size > 2**14):
+        # the output, two blocks of iterates and one modulus projection or
+        # step difference at once
+        inst = gen_phase_retrieval(20, 400, "real-gaussian", RngStream(70))
+        q, _ = qr_projector(inst.matrix)
+        Y = np.random.default_rng(71).standard_normal((400, 3000))
+        Y0 = Y.copy()
+        tracemalloc.start()
+        try:
+            _, _, converged = ap_iterate(q, inst.moduli, Y, 2000, 1e-10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / Y.nbytes < 4.5
+        assert Y.tobytes() == Y0.tobytes()
+        assert converged.any()  # columns stopped, so the batch was compacted
 
 
 class TestAPIterateBlocks:
