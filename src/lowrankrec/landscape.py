@@ -6,10 +6,11 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import phase_retrieval
 from .errors import MissingGroundTruth
 # qr_projector is unused but stays importable: perfbench/bench.py wraps it by name
 from .numerics import qr_projector, solve_from_qr  # noqa: F401
-from .phase_retrieval import WF_STEP_SCALE, ap_iterate, project_modulus
+from .phase_retrieval import WF_STEP_SCALE, ap_iterate, row_blocks
 from .problems import dist_mod_phase
 
 
@@ -60,7 +61,9 @@ def displacement_probe(algorithm, instance, d, pairs, rng):
     exactly.  T is one alternating-projections step mapped to signal space or
     one Wirtinger Flow step with mu = WF_STEP_SCALE / mean(b^2).  The instance is
     rescaled so the ground-truth signal has unit norm, putting the probe
-    sphere at the scale where the dynamics live.
+    sphere at the scale where the dynamics live.  Each step writes its
+    measurement-space stage back into the product B X, so one m x pairs
+    array is live at a time.
     """
     if instance.field != "real":
         raise ValueError("displacement probe is defined for real-field instances")
@@ -85,18 +88,21 @@ def displacement_probe(algorithm, instance, d, pairs, rng):
         q, r = instance.qr
 
         def T(X):
-            return solve_from_qr(q, r, project_modulus(B @ X, b[:, None]))
+            # called through its module, where perfbench's probe wraps it
+            Y = B @ X
+            return solve_from_qr(q, r, phase_retrieval.project_modulus(Y, b[:, None], out=Y))
 
     elif algorithm == "WF":
         mu = WF_STEP_SCALE / float(np.mean(b ** 2))
+        b2 = (b ** 2)[:, None]
 
         def T(X):
+            # Y becomes (|Y|^2 - b^2) Y, a row block at a time so that each
+            # block stays in cache; Y * Y is |Y|^2 exactly
             Y = B @ X
-            # R = (|Y|^2 - b^2) Y in one buffer; Y * Y is |Y|^2 exactly
-            R = np.square(Y)
-            R -= (b ** 2)[:, None]
-            R *= Y
-            return X - mu * (B.T @ R) / m
+            for rows in row_blocks(Y):
+                Y[rows] *= np.square(Y[rows]) - b2[rows]
+            return X - mu * (B.T @ Y) / m
 
     else:
         raise ValueError(f"unknown algorithm {algorithm!r}")

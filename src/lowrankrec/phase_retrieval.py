@@ -19,23 +19,47 @@ WF_STEP_SCALE = 0.1
 # AP steps per stop test; a block of more than one step holds at most 2**14 entries
 _BLOCK_STEPS = 16
 
+# entries per block of row_blocks: a block of complex entries is 1 MB, so
+# it stays in a core's cache between the elementwise passes over it
+ROW_BLOCK = 2 ** 16
 
-def project_modulus(y, b):
+
+def row_blocks(a):
+    """Slices of a's first axis that cover it in blocks of about ROW_BLOCK entries."""
+    rows = max(1, ROW_BLOCK * len(a) // max(a.size, 1))
+    return [slice(i, i + rows) for i in range(0, len(a), rows)]
+
+
+def project_modulus(y, b, out=None):
     """Nearest point with |y'_k| = b_k; zero entries take phase 1.
 
     b broadcasts against y without enlarging it, and the result is b times
-    a phase array that is written once and scaled in place.  Real float64 y
-    whose entries are all finite and nonzero takes the sign path: the phase
-    is sign(y), since y_k / |y_k| is exactly +-1 there, so the result has the
-    bits of b * torus_project(y) for every b.  Any other y, and real y with
-    a zero, NaN or infinite entry, takes torus_project's divide.
+    a phase array.  out, if given, receives the result and may be y itself.
+    Real float64 y whose entries are all finite and nonzero takes the sign
+    path: the phase is sign(y), since y_k / |y_k| is exactly +-1 there, so
+    the result has the bits of b * torus_project(y).  Any other y, and real
+    y with a zero, NaN or infinite entry, takes torus_project's divide.
+
+    y of more than ROW_BLOCK entries is projected in blocks of rows, each
+    choosing its path, with a phase temporary of one block: the passes over
+    a block run in cache, and every entry has the bits of the whole-array
+    projection.  The phase is never written into y itself, where np.sign
+    runs several times slower than into a fresh array.
     """
     y = np.asarray(y)
-    if y.dtype == np.float64 and _finite_nonzero(y):
-        p = np.sign(y)
-    else:
-        p = torus_project(y)
-    return np.multiply(b, p, out=p)
+    if y.size <= ROW_BLOCK:
+        p = _phase(y)
+        return np.multiply(b, p, out=p if out is None else out)
+    if out is None:
+        out = np.empty(y.shape, dtype=np.result_type(y, 1.0))
+    b = np.broadcast_to(b, y.shape)
+    for rows in row_blocks(y):
+        np.multiply(b[rows], _phase(y[rows]), out=out[rows])
+    return out
+
+
+def _phase(y):
+    return np.sign(y) if y.dtype == np.float64 and _finite_nonzero(y) else torus_project(y)
 
 
 def _finite_nonzero(y):
@@ -51,57 +75,70 @@ def _finite_nonzero(y):
 def ap_iterate(q, b, Y, max_iter, tol):
     """Gerchberg-Saxton iteration y <- Q Q* P_moduli(y) on every column of Y.
 
-    q is the thin-QR factor of the measurement matrix.  A column stops when
-    its change is at most tol times its norm, or after max_iter steps; the
-    columns still running are kept as one contiguous array, compacted only
-    when some column stops.  Returns the final columns and each column's
-    step count and stop flag.  || |y_t| - b || is non-increasing in t.
+    q is the thin-QR factor of the measurement matrix.  Each column is
+    carried as its coefficients c = Q* y: a step forms y = Q c, projects it
+    in place and stores c' = Q* P_moduli(y); the first step projects Y as
+    given.  A column stops when its change is at most tol times its norm,
+    both taken on c, which equals taking them on y since Q has orthonormal
+    columns (the first step compares against Q* Y), or after max_iter
+    steps.  The columns still running are kept as one contiguous array,
+    compacted only when some column stops.  Returns the final iterates
+    Q c, formed once at exit, and each column's step count and stop flag.
+    || |y_t| - b || is non-increasing in t.
 
-    Memory: besides Y, the loop holds the output, two blocks of iterates
-    (the current one and the one before it, for which Y stands in during
-    the first block) and one modulus projection or the block's step
-    differences: with one-step blocks, about four arrays the size of Y.
-    Y is not modified; when the caller keeps no reference to it, it is
-    freed after the first block.
+    Memory: besides Y, the loop holds one array the size of Y, for y of
+    the live columns, and arrays of n coefficients per column; the output
+    is formed after that array is freed.  Y is not modified; when the
+    caller keeps no reference to it, it is freed after the first step.
 
     The steps run in blocks of up to _BLOCK_STEPS, and the stop test runs
     once per block, over all of its steps.  A block in which some column
     stops ends at its first stopping step: the steps after it are discarded,
     the stopped columns leave, and the next block starts there.  So each
     step runs on the same live columns as with a test after every step, and
-    every iterate, step count and stop flag has the same bits.
+    every iterate, step count and stop flag has the same bits.  After a
+    compaction, y is formed over the live columns only, and BLAS may round
+    a product of a few columns differently from one of more: a batch has
+    the bits of that loop carried in coefficients, and agrees with it
+    carried in y to rounding.
     """
     Y = np.asarray(Y)
-    K = Y.shape[1]
+    m, K = Y.shape
     qh = q.conj().T
     # b cast once to the iterates' type: the multiply in project_modulus
     # would cast it on every step, to the same values
     bc = np.asarray(b, dtype=np.result_type(b, Y))[:, None]
-    out = np.empty(Y.shape, dtype=np.result_type(q, Y))  # every column is written below
+    dtype = np.result_type(q, Y)
+    C = qh @ Y  # what the first step's change is measured against
+    out = np.empty(C.shape, dtype=dtype)  # every column is written below
+    buf = np.empty(Y.size, dtype=dtype)  # y of the live columns, contiguous
     iterations = np.full(K, max_iter)
     converged = np.zeros(K, dtype=bool)
     live = np.arange(K)
     it = 0
     while live.size and it < max_iter:
-        S = min(_BLOCK_STEPS, max(1, 2 ** 14 // Y.size), max_iter - it)
-        H = np.empty((S,) + Y.shape, dtype=out.dtype)
-        prev = Y
+        S = min(_BLOCK_STEPS, max(1, 2 ** 14 // (m * live.size)), max_iter - it)
+        H = np.empty((S,) + C.shape, dtype=dtype)
+        y = buf[:m * live.size].reshape(m, live.size)
+        prev = C
         for j in range(S):
-            prev = np.matmul(q, qh @ project_modulus(prev, bc), out=H[j])
+            if Y is not None:
+                project_modulus(Y, bc, out=y)
+                Y = None
+            else:
+                project_modulus(np.matmul(q, prev, out=y), bc, out=y)
+            prev = np.matmul(qh, y, out=H[j])
         D = np.empty_like(H)
-        np.subtract(H[0], Y, out=D[0])
+        np.subtract(H[0], C, out=D[0])
         np.subtract(H[1:], H[:-1], out=D[1:])
         # vecdot is the cheapest column norm at one column, where AP is
         # bound by per-call overhead
         change = np.sqrt(np.vecdot(D, D, axis=-2).real)
         norm = np.sqrt(np.vecdot(H, H, axis=-2).real)
-        # D, and H once some column stops, are freed before the next block
-        # allocates, so peak memory stays that of one block
-        del D
         done = change <= tol * np.maximum(norm, 1e-300)
         if not done.any():
             it += S
-            Y = H[-1]
+            C = H[-1]
             continue
         j = int(done.any(axis=1).argmax())
         it += j + 1
@@ -110,10 +147,10 @@ def ap_iterate(q, b, Y, max_iter, tol):
         out[:, stopped] = H[j][:, done]
         iterations[stopped] = it
         converged[stopped] = True
-        live, Y = live[~done], H[j][:, ~done]
-        del H
-    out[:, live] = Y
-    return out, iterations, converged
+        live, C = live[~done], H[j][:, ~done]
+    out[:, live] = C
+    buf = y = None  # freed before the output is formed
+    return q @ out, iterations, converged
 
 
 def alternating_projections(instance, rng, max_iter=2000):

@@ -279,6 +279,7 @@ def instance_from_dict(d):
             x = None if x is None else _real(x, "signal")
         b = _array(d, "moduli", (m,), pairs=False)
         _require(-b.min(), "moduli", "be nonnegative")
+        b = np.where(b > 0, b, 0.0)  # the tolerated -1e-12 .. -0.0 load as +0.0
         return PhaseRetrievalInstance(_choice(d, "kind", ENSEMBLE_KINDS), B, b, x, field)
     C = _hermitian(d, "observations", n, 1.0)
     z = _array(d, "truth", (n,))

@@ -164,6 +164,21 @@ class TestDisplacementProbe:
         val = displacement_probe("WF", inst, 0.05, 50, RngStream(37))
         assert val > 0
 
+    @pytest.mark.parametrize("algorithm", ["AP", "WF"])
+    def test_one_measurement_array_at_a_time(self, algorithm):
+        # each step writes its projection or residual back into B X: one
+        # m x pairs array, beside arrays of n x pairs (a tenth of it here);
+        # the instance and its QR are allocated before tracing
+        inst = gen_phase_retrieval(40, 400, "real-gaussian", RngStream(38))
+        inst.qr
+        tracemalloc.start()
+        try:
+            displacement_probe(algorithm, inst, 0.05, 2000, RngStream(39))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / (400 * 2000 * 8) < 2.0
+
 
 class TestBasinMap:
     def test_truth_cell_labeled_zero_and_multiple_basins(self):
@@ -204,15 +219,16 @@ class TestBasinMap:
         np.testing.assert_array_equal(labels.ravel(), greedy_labels(limits, inst.x_true))
 
     def test_memory_at_the_landscape_size(self):
-        # 10,201 starts of m = 400: ap_iterate's four batch-size arrays,
-        # with no start block held beside them
+        # 10,201 starts of m = 400: the start block and ap_iterate's one
+        # batch-size array of iterates, then its output, beside arrays of
+        # n = 20 coefficients per start
         tracemalloc.start()
         try:
             run_basin(seed=101, n=20, grid=101)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak / (400 * 101 * 101 * 8) < 4.5
+        assert peak / (400 * 101 * 101 * 8) < 2.5
 
 
 @settings(deadline=None, derandomize=True, database=None, max_examples=60)

@@ -16,6 +16,7 @@ from lowrankrec.problems import (
     haar_frame,
     instance_from_dict,
     instance_to_dict,
+    load_instance,
 )
 
 
@@ -163,6 +164,17 @@ class TestSerialization:
         assert np.array_equal(back.z_true, inst.z_true)
         assert np.array_equal(back.noise, inst.noise)
         assert back.sigma == inst.sigma
+
+    def test_tolerated_negative_moduli_load_as_positive_zero(self, tmp_path):
+        inst = gen_phase_retrieval(5, 12, "complex-gaussian", RngStream(37))
+        d = instance_to_dict(inst)
+        d["moduli"][:2] = [-1e-13, -0.0]
+        path = tmp_path / "instance.json"
+        path.write_text(json.dumps(d), encoding="utf-8")
+        moduli = load_instance(path).moduli
+        assert not np.signbit(moduli).any()
+        assert list(moduli[:2]) == [0.0, 0.0]
+        assert moduli[2:].tobytes() == inst.moduli[2:].tobytes()
 
     @pytest.mark.parametrize("edit, field", [
         (lambda d: d.pop("noise"), "noise"),

@@ -16,7 +16,10 @@ that reach m = 0, m < n, the reference width and the real field, fig5 `ref`
 at n = 32 on two ensembles and fig1 `phasecut` at n = 40 (reference widths
 where Levenberg-Marquardt solves its m x m system), fig1 AP trials capped at
 37 steps, inside a block of alternating projections' stop test, and `gen`
-files with `solve` runs on each of them.
+files with `solve` runs on each of them.  On each phase retrieval file,
+`solve ap` runs once more with `--max-iter 37`, a cap inside a block of the
+stop test; the complex and structured runs reach it, the real-field run
+converges at step 11.
 """
 
 from __future__ import annotations
@@ -97,6 +100,9 @@ def command_lines(out_dir):
         lines.append(["gen"] + argv + ["--out", inst])
         lines += [["solve", solver, "--in", inst, "--out", str(out_dir / f"{solver}-{name}.json")]
                   for solver in solvers]
+        if "ap" in solvers:
+            lines.append(["solve", "ap", "--in", inst, "--max-iter", "37",
+                          "--out", str(out_dir / f"ap-capped-{name}.json")])
     return lines
 
 
