@@ -10,7 +10,7 @@ from . import phase_retrieval
 from .errors import MissingGroundTruth
 # qr_projector is unused but stays importable: perfbench/bench.py wraps it by name
 from .numerics import qr_projector, solve_from_qr  # noqa: F401
-from .phase_retrieval import WF_STEP_SCALE, ap_iterate, row_blocks
+from .phase_retrieval import WF_STEP_SCALE, ap_iterate
 from .problems import dist_mod_phase
 
 
@@ -97,11 +97,12 @@ def displacement_probe(algorithm, instance, d, pairs, rng):
         b2 = (b ** 2)[:, None]
 
         def T(X):
-            # Y becomes (|Y|^2 - b^2) Y, a row block at a time so that each
-            # block stays in cache; Y * Y is |Y|^2 exactly
+            # Y becomes (|Y|^2 - b^2) Y, blocks of about 2**16 entries at a
+            # time so that each block stays in cache; Y * Y is |Y|^2 exactly
             Y = B @ X
-            for rows in row_blocks(Y):
-                Y[rows] *= np.square(Y[rows]) - b2[rows]
+            rows = max(1, 2 ** 16 // pairs)
+            for i in range(0, m, rows):
+                Y[i:i + rows] *= np.square(Y[i:i + rows]) - b2[i:i + rows]
             return X - mu * (B.T @ Y) / m
 
     else:

@@ -16,50 +16,29 @@ _SPECTRAL_SEED = 0x1A57  # fixed internal stream: solvers are deterministic give
 # Wirtinger Flow's first step is WF_STEP_SCALE / mean(b^2)
 WF_STEP_SCALE = 0.1
 
-# AP steps per stop test; a block of more than one step holds at most 2**14 entries
+# AP steps per stop test; the steps of a block of more than one step form at
+# most 2**14 measurement entries in all (S steps of an m x k iterate), while its
+# buffer H holds their S x n x k coefficients
 _BLOCK_STEPS = 16
-
-# entries per block of row_blocks: a block of complex entries is 1 MB, so
-# it stays in a core's cache between the elementwise passes over it
-ROW_BLOCK = 2 ** 16
-
-
-def row_blocks(a):
-    """Slices of a's first axis that cover it in blocks of about ROW_BLOCK entries."""
-    rows = max(1, ROW_BLOCK * len(a) // max(a.size, 1))
-    return [slice(i, i + rows) for i in range(0, len(a), rows)]
 
 
 def project_modulus(y, b, out=None):
     """Nearest point with |y'_k| = b_k; zero entries take phase 1.
 
-    b broadcasts against y without enlarging it, and the result is b times
-    a phase array.  out, if given, receives the result and may be y itself.
-    Real float64 y whose entries are all finite and nonzero takes the sign
-    path: the phase is sign(y), since y_k / |y_k| is exactly +-1 there, so
-    the result has the bits of b * torus_project(y).  Any other y, and real
-    y with a zero, NaN or infinite entry, takes torus_project's divide.
-
-    y of more than ROW_BLOCK entries is projected in blocks of rows, each
-    choosing its path, with a phase temporary of one block: the passes over
-    a block run in cache, and every entry has the bits of the whole-array
-    projection.  The phase is never written into y itself, where np.sign
-    runs several times slower than into a fresh array.
+    b broadcasts against y without enlarging it.  out, if given, receives
+    the result and may be y itself.  Real float64 y whose entries are all
+    finite and nonzero, with no sign bit set in b, takes the copysign path:
+    y_k / |y_k| is exactly +-1 there, and copysign(b, y) is b * sign(y), so
+    for finite b the result has the bits of b * torus_project(y), formed
+    without a temporary.  Any other input, including real y with a zero,
+    NaN or infinite entry and b holding -0.0 or a negative entry, is b times
+    torus_project's divide.
     """
     y = np.asarray(y)
-    if y.size <= ROW_BLOCK:
-        p = _phase(y)
-        return np.multiply(b, p, out=p if out is None else out)
-    if out is None:
-        out = np.empty(y.shape, dtype=np.result_type(y, 1.0))
-    b = np.broadcast_to(b, y.shape)
-    for rows in row_blocks(y):
-        np.multiply(b[rows], _phase(y[rows]), out=out[rows])
-    return out
-
-
-def _phase(y):
-    return np.sign(y) if y.dtype == np.float64 and _finite_nonzero(y) else torus_project(y)
+    if y.dtype == np.float64 and not np.signbit(b).any() and _finite_nonzero(y):
+        return np.copysign(b, y, out=out)
+    p = torus_project(y)
+    return np.multiply(b, p, out=p if out is None else out)
 
 
 def _finite_nonzero(y):

@@ -73,12 +73,8 @@ class TestProjectModulus:
     @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
     @pytest.mark.parametrize("fill", [None, 0.0, -0.0, np.nan, np.inf, 1e308])
     @pytest.mark.parametrize("moduli", ["positive", "signed zeros"])
-    @pytest.mark.parametrize("row_block", [phase_retrieval.ROW_BLOCK, 7])
-    def test_in_place_has_the_bits_of_the_fresh_result(self, monkeypatch, shape, dtype,
-                                                        fill, moduli, row_block):
-        # out=y writes the projection back into y; blocks of 7 entries run
-        # the row-block path, one row at a time at 5 columns, each block
-        # taking its own path
+    def test_in_place_has_the_bits_of_the_fresh_result(self, shape, dtype, fill, moduli):
+        # out=y writes the projection back into y
         g = np.random.default_rng(9)
         y = g.standard_normal(shape).astype(dtype)
         if dtype == np.complex128:
@@ -92,10 +88,22 @@ class TestProjectModulus:
             b = b[:, None]
         with np.errstate(invalid="ignore"):
             want = project_modulus(y, b)
-            monkeypatch.setattr(phase_retrieval, "ROW_BLOCK", row_block)
             got = project_modulus(y, b, out=y)
         assert got is y
         assert got.tobytes() == want.tobytes()
+
+    def test_in_place_on_a_real_batch_holds_no_batch_size_temporary(self):
+        # a real batch takes the copysign path, which writes straight into y
+        g = np.random.default_rng(10)
+        y = g.standard_normal((400, 3000))
+        b = np.abs(g.standard_normal(400))[:, None]
+        tracemalloc.start()
+        try:
+            project_modulus(y, b, out=y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / y.nbytes < 0.02
 
 
 class TestAlternatingProjections:

@@ -13,13 +13,13 @@ The list holds the perfbench command lines at seed 101 (taken from
 perfbench/bench.py, which is only imported), the fig5 configurations of
 acceptance criterion 2 and the reruns of criterion 10, small fig1/fig5 grids
 that reach m = 0, m < n, the reference width and the real field, fig5 `ref`
-at n = 32 on two ensembles and fig1 `phasecut` at n = 40 (reference widths
-where Levenberg-Marquardt solves its m x m system), fig1 AP trials capped at
-37 steps, inside a block of alternating projections' stop test, and `gen`
-files with `solve` runs on each of them.  On each phase retrieval file,
-`solve ap` runs once more with `--max-iter 37`, a cap inside a block of the
-stop test; the complex and structured runs reach it, the real-field run
-converges at step 11.
+at n = 32 on the complex, structured and real ensembles and fig1 `phasecut`
+at n = 40 (reference widths where Levenberg-Marquardt solves its m x m
+system), fig1 AP trials capped at 37 steps, inside a block of alternating
+projections' stop test, and `gen` files with `solve` runs on each of them.
+On each phase retrieval file, `solve ap` runs once more with `--max-iter 37`,
+a cap inside a block of the stop test; the complex and structured runs reach
+it, the real-field run converges at step 11.
 """
 
 from __future__ import annotations
@@ -60,6 +60,8 @@ BENCH = [
      "--ensemble", "complex-gaussian"],
     ["fig5", "--n", "32", "--mn-grid", "4,8", "--p", "ref", "--trials", "2",
      "--ensemble", "structured-frame"],
+    ["fig5", "--n", "32", "--mn-grid", "4,8", "--p", "ref", "--trials", "2",
+     "--ensemble", "real-gaussian"],
     ["fig1", "--n", "40", "--mn-grid", "4", "--trials", "2", "--algos", "phasecut"],
     # AP trials capped at a step count inside a block of ap_iterate's stop test
     ["fig1", "--n", "40", "--mn-grid", "2.5", "--trials", "4", "--max-iter", "37"],
