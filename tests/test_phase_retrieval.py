@@ -92,6 +92,36 @@ class TestProjectModulus:
         assert got is y
         assert got.tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("shape", [(40,), (40, 1), (40, 5), (40, 0)])
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    @pytest.mark.parametrize("fill", [None, 0.0, -0.0, np.nan, np.inf, 1e308])
+    @pytest.mark.parametrize("moduli", ["positive", "signed zeros"])
+    def test_in_place_on_a_strided_view_has_the_bits_of_the_fresh_result(
+            self, shape, dtype, fill, moduli):
+        # y is every other entry of its last axis in a buffer twice as wide:
+        # both paths write through the view and leave the gaps alone
+        g = np.random.default_rng(9)
+        y0 = g.standard_normal(shape).astype(dtype)
+        if dtype == np.complex128:
+            y0 += 1j * g.standard_normal(shape)
+        if fill is not None:
+            y0.flat[::3] = fill
+        b = np.abs(g.standard_normal(40))
+        if moduli == "signed zeros":
+            b[::4], b[1::4], b[2::8] = 0.0, -0.0, -1e-13
+        if len(shape) == 2:
+            b = b[:, None]
+        buf = np.full(shape[:-1] + (2 * shape[-1],), 7.5, dtype=dtype)
+        y = buf[..., ::2]
+        y[...] = y0
+        with np.errstate(invalid="ignore"):
+            want = project_modulus(y0, b)
+            got = project_modulus(y, b, out=y)
+        assert got is y
+        assert not y.flags.c_contiguous or y.size <= 1
+        assert got.tobytes() == want.tobytes()
+        assert (buf[..., 1::2] == 7.5).all()
+
     def test_in_place_on_a_real_batch_holds_no_batch_size_temporary(self):
         # a real batch takes the copysign path, which writes straight into y
         g = np.random.default_rng(10)
