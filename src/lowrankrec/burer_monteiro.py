@@ -249,6 +249,7 @@ def _vp_lm(problem, X, max_iter, threshold):
     B, b = problem.instance.matrix, problem.instance.moduli
     m = B.shape[0]
     k = X.size
+    BBh = B @ B.conj().T if 2 * k > m else None  # for the m x m system below
 
     def value(X):
         Y = B @ X
@@ -284,8 +285,11 @@ def _vp_lm(problem, X, max_iter, threshold):
             return X, trace, steps, False  # no step decreases g any more
         if 2 * k > m:
             # the same step from the smaller system: (J^T J + mu I)^-1 J^T =
-            # J^T (J J^T + mu I)^-1 (Nocedal & Wright, Numerical Optimization, 10.3)
-            h = -J.T @ np.linalg.solve(J @ J.T + mu * np.eye(m), r)
+            # J^T (J J^T + mu I)^-1 (Nocedal & Wright, Numerical Optimization,
+            # 10.3); row i of G is B_i (x) conj(U_i), so J J^T = Re(G G*) =
+            # Re(B B* o conj(U U*)), formed without J
+            JJt = np.real(BBh * (U @ U.conj().T).conj())
+            h = -J.T @ np.linalg.solve(JJt + mu * np.eye(m), r)
         else:
             h = -np.linalg.solve(J.T @ J + mu * np.eye(2 * k), grad)
         if (np.linalg.norm(h) <= _LM_XTOL * np.linalg.norm(X)

@@ -145,17 +145,17 @@ def alternating_projections(instance, rng, max_iter=2000):
     y0 = sample_gaussian(rng, instance.m, instance.field)
     Y, iterations, converged = ap_iterate(q, instance.moduli, y0[:, None], max_iter, 1e-9)
     y = Y[:, 0]
-    x = solve_from_qr(q, r, y)
-    err = None
-    if instance.x_true is not None:
-        err = rel_error_mod_phase(x, instance.x_true)
-    return SolveReport(
-        estimate=x,
-        rel_error_mod_phase=err,
-        iterations=int(iterations[0]),
-        converged=bool(converged[0]),
-        residual_trace=np.asarray([np.linalg.norm(np.abs(y) - instance.moduli)]),
-    )
+    return _report(instance, solve_from_qr(q, r, y), y,
+                   iterations=int(iterations[0]), converged=bool(converged[0]))
+
+
+def _report(instance, x, y, **fields):
+    """SolveReport of the estimate x from measurements y: its error against
+    the signal when the instance has one, and the one final residual || |y| - b ||."""
+    err = None if instance.x_true is None else rel_error_mod_phase(x, instance.x_true)
+    return SolveReport(estimate=x, rel_error_mod_phase=err,
+                       residual_trace=np.asarray([np.linalg.norm(np.abs(y) - instance.moduli)]),
+                       **fields)
 
 
 def wf_loss(instance, x):
@@ -229,14 +229,5 @@ def wirtinger_flow(instance, max_iter=5000):
         f = fc
         iterations += 1
         objectives.append(f)
-    err = None
-    if instance.x_true is not None:
-        err = rel_error_mod_phase(x, instance.x_true)
-    return SolveReport(
-        estimate=x,
-        rel_error_mod_phase=err,
-        iterations=iterations,
-        converged=converged,
-        residual_trace=np.asarray([np.linalg.norm(np.abs(instance.matrix @ x) - b)]),
-        objective_trace=np.asarray(objectives),
-    )
+    return _report(instance, x, instance.matrix @ x, iterations=iterations,
+                   converged=converged, objective_trace=np.asarray(objectives))

@@ -34,7 +34,11 @@ class PhaseRetrievalInstance:
     matrix: np.ndarray            # B, m x n
     moduli: np.ndarray            # b >= 0, length m
     x_true: np.ndarray | None     # ground-truth signal, optional
-    field: str                    # "real" | "complex"
+
+    @property
+    def field(self):
+        """"real" exactly when B is real, else "complex"."""
+        return "real" if np.isrealobj(self.matrix) else "complex"
 
     @property
     def n(self):
@@ -98,12 +102,8 @@ def haar_frame(n, m):
             row += 1
         length //= 2
     assert row == n
-    k = np.arange(n)
-    rows = np.empty((m, n), dtype=complex)
-    for i in range(m):
-        r, j = divmod(i, n)
-        rows[i] = base[j] * np.exp(2j * np.pi * k * r / n)
-    return rows
+    r, j = np.divmod(np.arange(m), n)
+    return base[j] * np.exp(2j * np.pi * np.arange(n) * r[:, None] / n)
 
 
 def gen_phase_retrieval(n, m, kind, rng):
@@ -112,18 +112,14 @@ def gen_phase_retrieval(n, m, kind, rng):
         raise ValueError("n and m must be >= 1")
     if kind not in ENSEMBLE_KINDS:
         raise ValueError(f"unknown ensemble kind {kind!r}")
-    if kind == "real-gaussian":
-        field = "real"
-        B = sample_gaussian(rng, m * n, "real").reshape(m, n)
-    elif kind == "complex-gaussian":
-        field = "complex"
-        B = sample_gaussian(rng, m * n, "complex").reshape(m, n)
-    else:
-        field = "complex"
+    field = "real" if kind == "real-gaussian" else "complex"
+    if kind == "structured-frame":
         B = haar_frame(n, m)
+    else:
+        B = sample_gaussian(rng, m * n, field).reshape(m, n)
     x_true = sample_gaussian(rng, n, field)
     b = np.abs(B @ x_true)
-    return PhaseRetrievalInstance(kind, B, b, x_true, field)
+    return PhaseRetrievalInstance(kind, B, b, x_true)
 
 
 def gen_sync(n, sigma, rng):
@@ -280,7 +276,7 @@ def instance_from_dict(d):
         b = _array(d, "moduli", (m,), pairs=False)
         _require(-b.min(), "moduli", "be nonnegative")
         b = np.where(b > 0, b, 0.0)  # the tolerated -1e-12 .. -0.0 load as +0.0
-        return PhaseRetrievalInstance(_choice(d, "kind", ENSEMBLE_KINDS), B, b, x, field)
+        return PhaseRetrievalInstance(_choice(d, "kind", ENSEMBLE_KINDS), B, b, x)
     C = _hermitian(d, "observations", n, 1.0)
     z = _array(d, "truth", (n,))
     _require(np.abs(np.abs(z) - 1.0).max(), "truth", "have unit-modulus entries")

@@ -287,6 +287,58 @@ class TestDispatch:
         assert round_factor(prob, V).shape == (6,)  # unit-modulus phases, one per row
 
 
+def lm_reference(problem, X, steps):
+    """_vp_lm's steps, without refinement or stop test, with J J^T formed from J."""
+    B, b = problem.instance.matrix, problem.instance.moduli
+    m, k = B.shape[0], X.size
+    F = float(np.sum((np.linalg.norm(B @ X, axis=1) - b) ** 2))
+    trace = [F]
+    mu, nu = None, 2.0
+    for _ in range(steps):
+        Y = B @ X
+        rho = np.linalg.norm(Y, axis=1)
+        U = Y / rho[:, None]
+        G = (B[:, :, None] * U.conj()[:, None, :]).reshape(m, k)
+        J = np.concatenate([G.real, -G.imag], axis=1)
+        r = rho - b
+        if mu is None:
+            scale = float(np.max(np.sum(J * J, axis=0)))
+            mu, floor = 1e-3 * scale, 1e-12 * scale
+        h = -J.T @ np.linalg.solve(J @ J.T + mu * np.eye(m), r)
+        Xc = X + (h[:k] + 1j * h[k:]).reshape(X.shape)
+        Fc = float(np.sum((np.linalg.norm(B @ Xc, axis=1) - b) ** 2))
+        predicted = float(h @ (mu * h - J.T @ r))
+        ratio = (F - Fc) / predicted if predicted > 0 else -1.0
+        if ratio > 0:
+            X, F = Xc, Fc
+            mu = max(mu * max(1.0 / 3.0, 1.0 - (2.0 * ratio - 1.0) ** 3), floor)
+            nu = 2.0
+        else:
+            mu *= nu
+            nu *= 2.0
+        trace.append(F)
+    return X, trace
+
+
+class TestLevenbergMarquardtSystem:
+    @pytest.mark.parametrize("kind", ["complex-gaussian", "real-gaussian"])
+    def test_m_by_m_steps_match_the_explicit_jacobian(self, kind):
+        # at the reference width 2np > m, so _vp_lm solves its m x m system;
+        # threshold 0 never stops it, and 6 steps come before any refinement
+        rng = RngStream(47)
+        inst = gen_phase_retrieval(8, 40, kind, rng.split(0))
+        prob = phasecut_cost(inst)
+        p = reference_rank(inst.m)
+        assert 2 * inst.n * p > inst.m
+        X0 = inst.moduli[:, None] * random_factor(rng.split(1), inst.m, p)
+        X0 = np.linalg.lstsq(inst.matrix, X0, rcond=None)[0]
+        X, trace, steps, converged = bm._vp_lm(prob, X0, 6, 0.0)
+        want, want_trace = lm_reference(prob, X0, 6)
+        assert (steps, converged, len(trace)) == (6, False, len(want_trace))
+        assert np.allclose(trace, want_trace, rtol=1e-12, atol=0)
+        assert np.linalg.norm(X - want) <= 1e-12 * np.linalg.norm(want)
+
+
 class TestDualCertificate:
     def test_nonnegative_at_optimum(self):
         inst = gen_sync(10, 0.0, RngStream(41))

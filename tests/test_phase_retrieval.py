@@ -19,6 +19,33 @@ from lowrankrec.phase_retrieval import (
 from lowrankrec.problems import dist_mod_phase, gen_phase_retrieval
 
 
+def bit_cases(test):
+    """Parametrize a projection bits test over 96 cases: moduli, fill, dtype, shape."""
+    for name, values in (("moduli", ["positive", "signed zeros"]),
+                         ("fill", [None, 0.0, -0.0, np.nan, np.inf, 1e308]),
+                         ("dtype", [np.float64, np.complex128]),
+                         ("shape", [(40,), (40, 1), (40, 5), (40, 0)])):
+        test = pytest.mark.parametrize(name, values)(test)
+    return test
+
+
+def bit_case(seed, shape, dtype, fill, moduli):
+    """y of one bits case, every third entry set to fill unless None, and its
+    moduli b: nonnegative, or holding -0.0 and -1e-13 at "signed zeros"."""
+    g = np.random.default_rng(seed)
+    y = g.standard_normal(shape).astype(dtype)
+    if dtype == np.complex128:
+        y += 1j * g.standard_normal(shape)
+    if fill is not None:
+        y.flat[::3] = fill
+    b = np.abs(g.standard_normal(40))
+    if moduli == "signed zeros":
+        b[::4], b[1::4], b[2::8] = 0.0, -0.0, -1e-13
+    if len(shape) == 2:
+        b = b[:, None]  # one column of moduli, broadcast against the batch
+    return y, b
+
+
 class TestProjectModulus:
     def test_fixed_point(self):
         b = np.array([1.0, 2.0, 0.5])
@@ -40,26 +67,13 @@ class TestProjectModulus:
             z = b * np.exp(2j * np.pi * rng.generator.random(10))
             assert d0 <= np.linalg.norm(z - y) + 1e-12
 
-    @pytest.mark.parametrize("shape", [(40,), (40, 1), (40, 5), (40, 0)])
-    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
-    @pytest.mark.parametrize("fill", [None, 0.0, -0.0, np.nan, np.inf, 1e308])
-    @pytest.mark.parametrize("moduli", ["positive", "signed zeros"])
+    @bit_cases
     def test_same_bits_as_b_times_the_masked_divide(self, shape, dtype, fill, moduli):
         # the reference is b times the masked divide, zero and NaN entries
         # taking phase 1; real y without such entries takes the sign path,
         # whose bits must equal it for every b, -0.0 and the -1e-13 that
         # the instance loader tolerates included
-        g = np.random.default_rng(8)
-        y = g.standard_normal(shape).astype(dtype)
-        if dtype == np.complex128:
-            y += 1j * g.standard_normal(shape)
-        if fill is not None:
-            y.flat[::3] = fill
-        b = np.abs(g.standard_normal(40))
-        if moduli == "signed zeros":
-            b[::4], b[1::4], b[2::8] = 0.0, -0.0, -1e-13
-        if len(shape) == 2:
-            b = b[:, None]  # one column of moduli, broadcast against the batch
+        y, b = bit_case(8, shape, dtype, fill, moduli)
         y0 = y.copy()
         a = np.abs(y)
         with np.errstate(invalid="ignore"):  # inf / inf in both forms
@@ -69,58 +83,27 @@ class TestProjectModulus:
         assert got.tobytes() == want.tobytes()
         assert y.tobytes() == y0.tobytes()
 
-    @pytest.mark.parametrize("shape", [(40,), (40, 1), (40, 5), (40, 0)])
-    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
-    @pytest.mark.parametrize("fill", [None, 0.0, -0.0, np.nan, np.inf, 1e308])
-    @pytest.mark.parametrize("moduli", ["positive", "signed zeros"])
-    def test_in_place_has_the_bits_of_the_fresh_result(self, shape, dtype, fill, moduli):
-        # out=y writes the projection back into y
-        g = np.random.default_rng(9)
-        y = g.standard_normal(shape).astype(dtype)
-        if dtype == np.complex128:
-            y += 1j * g.standard_normal(shape)
-        if fill is not None:
-            y.flat[::3] = fill
-        b = np.abs(g.standard_normal(40))
-        if moduli == "signed zeros":
-            b[::4], b[1::4], b[2::8] = 0.0, -0.0, -1e-13
-        if len(shape) == 2:
-            b = b[:, None]
-        with np.errstate(invalid="ignore"):
-            want = project_modulus(y, b)
-            got = project_modulus(y, b, out=y)
-        assert got is y
-        assert got.tobytes() == want.tobytes()
-
-    @pytest.mark.parametrize("shape", [(40,), (40, 1), (40, 5), (40, 0)])
-    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
-    @pytest.mark.parametrize("fill", [None, 0.0, -0.0, np.nan, np.inf, 1e308])
-    @pytest.mark.parametrize("moduli", ["positive", "signed zeros"])
-    def test_in_place_on_a_strided_view_has_the_bits_of_the_fresh_result(
-            self, shape, dtype, fill, moduli):
-        # y is every other entry of its last axis in a buffer twice as wide:
-        # both paths write through the view and leave the gaps alone
-        g = np.random.default_rng(9)
-        y0 = g.standard_normal(shape).astype(dtype)
-        if dtype == np.complex128:
-            y0 += 1j * g.standard_normal(shape)
-        if fill is not None:
-            y0.flat[::3] = fill
-        b = np.abs(g.standard_normal(40))
-        if moduli == "signed zeros":
-            b[::4], b[1::4], b[2::8] = 0.0, -0.0, -1e-13
-        if len(shape) == 2:
-            b = b[:, None]
-        buf = np.full(shape[:-1] + (2 * shape[-1],), 7.5, dtype=dtype)
-        y = buf[..., ::2]
-        y[...] = y0
+    @pytest.mark.parametrize("layout", ["contiguous", "strided"])
+    @bit_cases
+    def test_in_place_has_the_bits_of_the_fresh_result(self, shape, dtype, fill, moduli, layout):
+        # out=y writes the projection back into y.  A strided y is every
+        # other entry of its last axis in a buffer twice as wide: both paths
+        # write through the view and leave the gaps alone
+        y0, b = bit_case(9, shape, dtype, fill, moduli)
+        if layout == "contiguous":
+            y = y0.copy()
+        else:
+            buf = np.full(shape[:-1] + (2 * shape[-1],), 7.5, dtype=dtype)
+            y = buf[..., ::2]
+            y[...] = y0
         with np.errstate(invalid="ignore"):
             want = project_modulus(y0, b)
             got = project_modulus(y, b, out=y)
         assert got is y
-        assert not y.flags.c_contiguous or y.size <= 1
         assert got.tobytes() == want.tobytes()
-        assert (buf[..., 1::2] == 7.5).all()
+        if layout == "strided":
+            assert not y.flags.c_contiguous or y.size <= 1
+            assert (buf[..., 1::2] == 7.5).all()
 
     def test_in_place_on_a_real_batch_holds_no_batch_size_temporary(self):
         # a real batch takes the copysign path, which writes straight into y

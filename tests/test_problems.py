@@ -43,6 +43,18 @@ class TestGenPhaseRetrieval:
         B = haar_frame(16, 80)
         assert np.allclose(np.linalg.norm(B, axis=1), 1.0, atol=1e-12)
 
+    @pytest.mark.parametrize("n, m", [(8, 24), (16, 96), (32, 256), (1, 5), (8, 5), (8, 13)])
+    def test_structured_frame_has_the_bits_of_the_row_loop(self, n, m):
+        # row i is base row i mod n times exp(2i pi k r / n) at repeat
+        # r = i // n; the first n rows are the base rows, unmodulated
+        base = haar_frame(n, n).real
+        k = np.arange(n)
+        want = np.empty((m, n), dtype=complex)
+        for i in range(m):
+            r, j = divmod(i, n)
+            want[i] = base[j] * np.exp(2j * np.pi * k * r / n)
+        assert haar_frame(n, m).tobytes() == want.tobytes()
+
     def test_real_kind_is_real(self):
         inst = gen_phase_retrieval(6, 20, "real-gaussian", RngStream(7))
         assert inst.field == "real"
