@@ -13,6 +13,9 @@ from .numerics import qr_projector, solve_from_qr  # noqa: F401
 from .phase_retrieval import WF_STEP_SCALE, ap_iterate
 from .problems import dist_mod_phase
 
+# entries per measurement-space block of fig3's and basin's probes
+_BLOCK_ENTRIES = 2 ** 18
+
 
 def expected_loss(x, x_s):
     """E f(x) = ||x||^4 - ||x||^2 ||x_s||^2 - |<x,x_s>|^2 + ||x_s||^4.
@@ -61,9 +64,9 @@ def displacement_probe(algorithm, instance, d, pairs, rng):
     exactly.  T is one alternating-projections step mapped to signal space or
     one Wirtinger Flow step with mu = WF_STEP_SCALE / mean(b^2).  The instance is
     rescaled so the ground-truth signal has unit norm, putting the probe
-    sphere at the scale where the dynamics live.  Each step writes its
-    measurement-space stage back into the product B X, so one m x pairs
-    array is live at a time.
+    sphere at the scale where the dynamics live.  T is linear after its
+    measurement-space stage F, so T(z) - T(z') is formed from F(B z) - F(B z'),
+    _BLOCK_ENTRIES // pairs rows of B at a time: no array grows with m x pairs.
     """
     if instance.field != "real":
         raise ValueError("displacement probe is defined for real-field instances")
@@ -72,9 +75,24 @@ def displacement_probe(algorithm, instance, d, pairs, rng):
     if instance.x_true is None:
         raise MissingGroundTruth("displacement probe requires a ground-truth signal")
     B = instance.matrix
-    s = float(np.linalg.norm(instance.x_true))
-    b = instance.moduli / s
+    b = instance.moduli / float(np.linalg.norm(instance.x_true))
     n, m = instance.n, instance.m
+
+    if algorithm == "AP":
+        back, r = instance.qr  # before the pairs are drawn: its transient peak meets none
+
+        def F(Y, i):  # called through its module, where perfbench's probe wraps it
+            return phase_retrieval.project_modulus(Y, b[i, None], out=Y)
+
+    elif algorithm == "WF":
+        back, b2 = B, (b ** 2)[:, None]
+
+        def F(Y, i):  # the residual (|Y|^2 - b^2) Y; Y * Y is |Y|^2 exactly
+            t = np.square(Y)
+            return np.multiply(Y, np.subtract(t, b2[i], out=t), out=Y)
+
+    else:
+        raise ValueError(f"unknown algorithm {algorithm!r}")
 
     g = rng.generator
     Z = _unit_columns(g.standard_normal((n, pairs)))
@@ -84,32 +102,20 @@ def displacement_probe(algorithm, instance, d, pairs, rng):
     U = _unit_columns(Z + d * Wd)
     Zp = Z + d * _unit_columns(U - Z)
 
+    acc = np.zeros((n, pairs))  # back.T (F(B Z) - F(B Zp)), F the measurement-space stage
+    rows = max(1, _BLOCK_ENTRIES // pairs)
+    for k in range(0, m, rows):
+        i = slice(k, k + rows)
+        D = F(B[i] @ Z, i)
+        D -= F(B[i] @ Zp, i)
+        acc += back[i].T @ D
     if algorithm == "AP":
-        q, r = instance.qr
-
-        def T(X):
-            # called through its module, where perfbench's probe wraps it
-            Y = B @ X
-            return solve_from_qr(q, r, phase_retrieval.project_modulus(Y, b[:, None], out=Y))
-
-    elif algorithm == "WF":
-        mu = WF_STEP_SCALE / float(np.mean(b ** 2))
-        b2 = (b ** 2)[:, None]
-
-        def T(X):
-            # Y becomes (|Y|^2 - b^2) Y, blocks of about 2**16 entries at a
-            # time so that each block stays in cache; Y * Y is |Y|^2 exactly
-            Y = B @ X
-            rows = max(1, 2 ** 16 // pairs)
-            for i in range(0, m, rows):
-                Y[i:i + rows] *= np.square(Y[i:i + rows]) - b2[i:i + rows]
-            return X - mu * (B.T @ Y) / m
-
-    else:
-        raise ValueError(f"unknown algorithm {algorithm!r}")
-
-    disp = np.linalg.norm(T(Z) - T(Zp), axis=0)
-    return float(disp.mean())
+        return float(np.linalg.norm(np.linalg.solve(r, acc), axis=0).mean())
+    acc *= WF_STEP_SCALE / float(np.mean(b ** 2))  # (Z - Zp) - mu * acc / m, in place
+    acc /= m
+    Z -= Zp
+    Z -= acc
+    return float(np.linalg.norm(Z, axis=0).mean())
 
 
 def basin_map(instance, center, dirs, half_width, grid, max_iter=2000):
@@ -120,7 +126,8 @@ def basin_map(instance, center, dirs, half_width, grid, max_iter=2000):
     relative change of 1e-10; limits are clustered by pairwise distance
     modulo phase with merge radius 1e-4 ||x_true||.  Label 0 is reserved for
     the cluster containing the solution; the other clusters are numbered in
-    order of first appearance.
+    order of first appearance.  The runs go _BLOCK_ENTRIES // m starts at a
+    time, so no array grows with m x grid^2.
 
     Returns an integer (grid x grid) label array, rows indexing dirs[0].
     """
@@ -139,9 +146,12 @@ def basin_map(instance, center, dirs, half_width, grid, max_iter=2000):
          + d2[:, None] * A2.ravel()[None, :])
     K = P.shape[1]
 
-    # start in-range, y0 = projection of B p; no name holds the start block,
-    # so ap_iterate frees it after its first block of steps
-    X = solve_from_qr(q, r, ap_iterate(q, b, q @ (q.T @ (B @ P)), max_iter, 1e-10)[0])
+    # start in-range, y0 = projection of B p; ap_iterate frees the unnamed start block
+    X = np.empty((instance.n, K))
+    cols = max(1, _BLOCK_ENTRIES // instance.m)
+    for s in range(0, K, cols):
+        X[:, s:s + cols] = solve_from_qr(
+            q, r, ap_iterate(q, b, q @ (q.T @ (B @ P[:, s:s + cols])), max_iter, 1e-10)[0])
 
     radius = 1e-4 * float(np.linalg.norm(instance.x_true))
     # each start joins the nearest cluster representative within radius,

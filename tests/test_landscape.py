@@ -51,6 +51,34 @@ def greedy_labels(X, x_true):
     return dict_relabel(labels, sol, len(reps))
 
 
+def whole_array_displacement(algorithm, inst, d, pairs, rng):
+    """displacement_probe's mean with T(Z) and T(Zp) each formed from a whole
+    m x pairs product B X; the projection is spelled b * sign(B X)."""
+    B, m = inst.matrix, inst.m
+    b = (inst.moduli / np.linalg.norm(inst.x_true))[:, None]
+    g = rng.generator
+    Z = g.standard_normal((inst.n, pairs))
+    Z /= np.linalg.norm(Z, axis=0)
+    W = g.standard_normal(Z.shape)
+    W -= Z * np.sum(Z * W, axis=0)
+    W /= np.linalg.norm(W, axis=0)
+    U = Z + d * W
+    U /= np.linalg.norm(U, axis=0)
+    Zp = Z + d * (U - Z) / np.linalg.norm(U - Z, axis=0)
+    if algorithm == "AP":
+        q, r = inst.qr
+
+        def T(X):
+            return np.linalg.solve(r, q.T @ (b * np.sign(B @ X)))
+    else:
+        mu = landscape.WF_STEP_SCALE / float(np.mean(b ** 2))
+
+        def T(X):
+            Y = B @ X
+            return X - mu * (B.T @ ((Y ** 2 - b ** 2) * Y)) / m
+    return float(np.mean(np.linalg.norm(T(Z) - T(Zp), axis=0)))
+
+
 def ring_point(scale=1.0):
     """x_s and an exactly orthogonal x with ||x||^2 = ||x_s||^2 / 2 exactly."""
     x_s = np.zeros(4, dtype=complex)
@@ -165,10 +193,35 @@ class TestDisplacementProbe:
         assert val > 0
 
     @pytest.mark.parametrize("algorithm", ["AP", "WF"])
+    def test_streamed_difference_matches_whole_array_steps(self, algorithm):
+        # 1000 rows in blocks of 262: three whole blocks and a last one of 214
+        inst = gen_phase_retrieval(20, 1000, "real-gaussian", RngStream(40))
+        assert 1000 % (landscape._BLOCK_ENTRIES // 1000) == 214
+        for d in (0.01, 0.1):
+            got = displacement_probe(algorithm, inst, d, 1000, RngStream(41))
+            want = whole_array_displacement(algorithm, inst, d, 1000, RngStream(41))
+            assert got == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("algorithm", ["AP", "WF"])
+    def test_peak_does_not_grow_with_m(self, algorithm):
+        # the instances and their QR are allocated before tracing
+        peaks = []
+        for m in (400, 4000):
+            inst = gen_phase_retrieval(40, m, "real-gaussian", RngStream(42))
+            inst.qr
+            tracemalloc.start()
+            try:
+                displacement_probe(algorithm, inst, 0.05, 2000, RngStream(43))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.1 * peaks[0]
+
+    @pytest.mark.parametrize("algorithm", ["AP", "WF"])
     def test_one_measurement_array_at_a_time(self, algorithm):
-        # each step writes its projection or residual back into B X: one
-        # m x pairs array, beside arrays of n x pairs (a tenth of it here);
-        # the instance and its QR are allocated before tracing
+        # blocks of rows of B X, in units of one m x pairs array, beside
+        # arrays of n x pairs (a tenth of it here); the instance and its QR
+        # are allocated before tracing
         inst = gen_phase_retrieval(40, 400, "real-gaussian", RngStream(38))
         inst.qr
         tracemalloc.start()
@@ -206,7 +259,7 @@ class TestBasinMap:
     ], ids=["landscape-size", "n8-grid7", "n8-seed7"])
     def test_labels_match_greedy_reference(self, monkeypatch, config):
         # record the instance run_basin maps and the AP limits basin_map
-        # clusters, its one solve_from_qr result
+        # clusters, its solve_from_qr results in call order, one per chunk
         seen = []
         for module, name in ((harness, "basin_map"), (landscape, "solve_from_qr")):
             def recording(*args, _fn=getattr(module, name), **kwargs):
@@ -214,21 +267,23 @@ class TestBasinMap:
                 return seen[-1][1]
             monkeypatch.setattr(module, name, recording)
         labels = run_basin(**config)
-        (_, limits), ((inst, *_), out) = seen
+        *solves, ((inst, *_), out) = seen
+        limits = np.hstack([x for _, x in solves])
         assert out is labels
         np.testing.assert_array_equal(labels.ravel(), greedy_labels(limits, inst.x_true))
 
     def test_memory_at_the_landscape_size(self):
-        # 10,201 starts of m = 400: the start block and ap_iterate's one
-        # batch-size array of iterates, then its output, beside arrays of
-        # n = 20 coefficients per start
+        # 10,201 starts of m = 400, mapped in chunks of 655: a chunk's start
+        # block, ap_iterate's array of iterates and its output, each a
+        # sixteenth of a batch-size array, beside arrays of n = 20
+        # coefficients per start
         tracemalloc.start()
         try:
             run_basin(seed=101, n=20, grid=101)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak / (400 * 101 * 101 * 8) < 2.5
+        assert peak / (400 * 101 * 101 * 8) < 0.5
 
 
 @settings(deadline=None, derandomize=True, database=None, max_examples=60)

@@ -16,7 +16,9 @@ that reach m = 0, m < n, the reference width and the real field, fig5 `ref`
 at n = 32 on the complex, structured and real ensembles and fig1 `phasecut`
 at n = 40 (reference widths where Levenberg-Marquardt solves its m x m
 system), fig1 AP trials capped at 37 steps, inside a block of alternating
-projections' stop test, and `gen` files with `solve` runs on each of them.
+projections' stop test, fig3 and basin lines whose blocks of measurement
+entries end in a partial block, and `gen` files with `solve` runs on each
+of them.
 On each phase retrieval file, `solve ap` runs once more with `--max-iter 37`,
 a cap inside a block of the stop test; the complex and structured runs reach
 it, the real-field run converges at step 11.
@@ -65,6 +67,10 @@ BENCH = [
     ["fig1", "--n", "40", "--mn-grid", "4", "--trials", "2", "--algos", "phasecut"],
     # AP trials capped at a step count inside a block of ap_iterate's stop test
     ["fig1", "--n", "40", "--mn-grid", "2.5", "--trials", "4", "--max-iter", "37"],
+    # the landscape probes' blocks: fig3 in row blocks of 262, 262, 262 and 214,
+    # basin in chunks of 655 and 306 starts
+    ["fig3", "--n", "20", "--m", "1000", "--pairs", "1000", "--d-grid", "0.01,0.1", "--seed", "1"],
+    ["basin", "--n", "20", "--grid", "31", "--seed", "1"],
 ]
 
 # instance files: name -> `gen` arguments, and the solvers run on each
