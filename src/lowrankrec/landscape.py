@@ -67,6 +67,9 @@ def displacement_probe(algorithm, instance, d, pairs, rng):
     sphere at the scale where the dynamics live.  T is linear after its
     measurement-space stage F, so T(z) - T(z') is formed from F(B z) - F(B z'),
     _BLOCK_ENTRIES // pairs rows of B at a time: no array grows with m x pairs.
+    Both back-project through B^T; AP then maps to signal space by
+    B^+ = (B^T B)^{-1} B^T, so B must have full column rank (m >= n, as fig3's
+    Gaussian B has with probability one) and is never factored.
     """
     if instance.field != "real":
         raise ValueError("displacement probe is defined for real-field instances")
@@ -79,13 +82,11 @@ def displacement_probe(algorithm, instance, d, pairs, rng):
     n, m = instance.n, instance.m
 
     if algorithm == "AP":
-        back, r = instance.qr  # before the pairs are drawn: its transient peak meets none
-
         def F(Y, i):  # called through its module, where perfbench's probe wraps it
             return phase_retrieval.project_modulus(Y, b[i, None], out=Y)
 
     elif algorithm == "WF":
-        back, b2 = B, (b ** 2)[:, None]
+        b2 = (b ** 2)[:, None]
 
         def F(Y, i):  # the residual (|Y|^2 - b^2) Y; Y * Y is |Y|^2 exactly
             t = np.square(Y)
@@ -101,16 +102,17 @@ def displacement_probe(algorithm, instance, d, pairs, rng):
     Wd = _unit_columns(Wd)
     U = _unit_columns(Z + d * Wd)
     Zp = Z + d * _unit_columns(U - Z)
+    del Wd, U  # only Zp reads them; freed before the block loop
 
-    acc = np.zeros((n, pairs))  # back.T (F(B Z) - F(B Zp)), F the measurement-space stage
+    acc = np.zeros((n, pairs))  # B.T (F(B Z) - F(B Zp)), F the measurement-space stage
     rows = max(1, _BLOCK_ENTRIES // pairs)
     for k in range(0, m, rows):
         i = slice(k, k + rows)
         D = F(B[i] @ Z, i)
         D -= F(B[i] @ Zp, i)
-        acc += back[i].T @ D
+        acc += B[i].T @ D
     if algorithm == "AP":
-        return float(np.linalg.norm(np.linalg.solve(r, acc), axis=0).mean())
+        return float(np.linalg.norm(np.linalg.solve(B.T @ B, acc), axis=0).mean())
     acc *= WF_STEP_SCALE / float(np.mean(b ** 2))  # (Z - Zp) - mu * acc / m, in place
     acc /= m
     Z -= Zp

@@ -730,16 +730,17 @@ class TestImports:
 
 
 class TestFactorizationCount:
-    @pytest.mark.parametrize("run", [
-        lambda: run_fig5(n=4, mn_grid=(4.0,), trials=1, ensembles=("complex-gaussian",),
-                         p_values=(2,)),
-        lambda: run_fig1(n=4, mn_grid=(3.0,), trials=1, algos=("phasecut",)),
-        lambda: run_fig3(n=8, pairs=3),
-        lambda: run_fig1(n=8, mn_grid=(4.0,), trials=1),
-        lambda: run_basin(n=4, grid=3),
+    @pytest.mark.parametrize("run, factorizations", [
+        (lambda: run_fig5(n=4, mn_grid=(4.0,), trials=1, ensembles=("complex-gaussian",),
+                          p_values=(2,)), 1),
+        (lambda: run_fig1(n=4, mn_grid=(3.0,), trials=1, algos=("phasecut",)), 1),
+        (lambda: run_fig3(n=8, pairs=3), 0),
+        (lambda: run_fig1(n=8, mn_grid=(4.0,), trials=1), 1),
+        (lambda: run_basin(n=4, grid=3), 1),
     ], ids=["fig5-trial", "fig1-phasecut-trial", "fig3-default-grid", "fig1-ap-trial", "basin"])
-    def test_one_qr_per_instance(self, monkeypatch, run):
-        # each run builds one instance; every reader of its thin QR shares one factorization
+    def test_one_qr_per_instance(self, monkeypatch, run, factorizations):
+        # each run builds one instance; every reader of its thin QR shares one
+        # factorization, and fig3 reads none: both probes back-project through B
         calls = []
         qr = np.linalg.qr
 
@@ -749,4 +750,4 @@ class TestFactorizationCount:
 
         monkeypatch.setattr(np.linalg, "qr", counting_qr)
         run()
-        assert len(calls) == 1
+        assert len(calls) == factorizations

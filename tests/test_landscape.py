@@ -202,6 +202,31 @@ class TestDisplacementProbe:
             want = whole_array_displacement(algorithm, inst, d, 1000, RngStream(41))
             assert got == pytest.approx(want, rel=1e-12)
 
+    def test_ap_matches_the_qr_oracle_at_a_near_square_matrix(self):
+        # m = n + 1, the worst conditioning fig3 admits: the probe solves with
+        # B^T B, squaring cond(B), while the oracle applies B^+ through its QR
+        inst = gen_phase_retrieval(20, 21, "real-gaussian", RngStream(40))
+        assert 100 < np.linalg.cond(inst.matrix) < 200
+        for d in (0.01, 0.1):
+            got = displacement_probe("AP", inst, d, 1000, RngStream(41))
+            want = whole_array_displacement("AP", inst, d, 1000, RngStream(41))
+            assert got == pytest.approx(want, rel=1e-10)
+
+    @pytest.mark.parametrize("algorithm", ["AP", "WF"])
+    def test_peak_at_the_landscape_size(self, algorithm):
+        # (n, m, pairs) = (400, 4000, 1000), in units of one n x pairs array:
+        # Z, Zp and the accumulator, beside row blocks of 262 x pairs, the
+        # accumulator's increment or the final solve's copies; only the
+        # instance is allocated before tracing, so a factorization of B counts
+        inst = gen_phase_retrieval(400, 4000, "real-gaussian", RngStream(44))
+        tracemalloc.start()
+        try:
+            displacement_probe(algorithm, inst, 0.01, 1000, RngStream(45))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / (400 * 1000 * 8) < 6.0
+
     @pytest.mark.parametrize("algorithm", ["AP", "WF"])
     def test_peak_does_not_grow_with_m(self, algorithm):
         # the instances and their QR are allocated before tracing

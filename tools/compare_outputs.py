@@ -17,8 +17,9 @@ at n = 32 on the complex, structured and real ensembles and fig1 `phasecut`
 at n = 40 (reference widths where Levenberg-Marquardt solves its m x m
 system), fig1 AP trials capped at 37 steps, inside a block of alternating
 projections' stop test, fig3 and basin lines whose blocks of measurement
-entries end in a partial block, and `gen` files with `solve` runs on each
-of them.
+entries end in a partial block, fig3 at m = n + 1 (the worst conditioning
+fig3 admits, where alternating projections solves with B^T B), and `gen`
+files with `solve` runs on each of them.
 On each phase retrieval file, `solve ap` runs once more with `--max-iter 37`,
 a cap inside a block of the stop test; the complex and structured runs reach
 it, the real-field run converges at step 11.
@@ -71,6 +72,8 @@ BENCH = [
     # basin in chunks of 655 and 306 starts
     ["fig3", "--n", "20", "--m", "1000", "--pairs", "1000", "--d-grid", "0.01,0.1", "--seed", "1"],
     ["basin", "--n", "20", "--grid", "31", "--seed", "1"],
+    # fig3 at m = n + 1: AP's solve with the Gram matrix B^T B at its worst conditioning
+    ["fig3", "--n", "20", "--m", "21", "--pairs", "100", "--d-grid", "0.01,0.1", "--seed", "1"],
 ]
 
 # instance files: name -> `gen` arguments, and the solvers run on each
