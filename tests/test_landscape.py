@@ -203,8 +203,9 @@ class TestDisplacementProbe:
             assert got == pytest.approx(want, rel=1e-12)
 
     def test_ap_matches_the_qr_oracle_at_a_near_square_matrix(self):
-        # m = n + 1, the worst conditioning fig3 admits: the probe solves with
-        # B^T B, squaring cond(B), while the oracle applies B^+ through its QR
+        # m = n + 1, one row above fig3's m >= n floor: B is nearly square, the
+        # probe solves with B^T B, squaring cond(B), and the oracle applies B^+
+        # through its QR
         inst = gen_phase_retrieval(20, 21, "real-gaussian", RngStream(40))
         assert 100 < np.linalg.cond(inst.matrix) < 200
         for d in (0.01, 0.1):

@@ -17,8 +17,8 @@ at n = 32 on the complex, structured and real ensembles and fig1 `phasecut`
 at n = 40 (reference widths where Levenberg-Marquardt solves its m x m
 system), fig1 AP trials capped at 37 steps, inside a block of alternating
 projections' stop test, fig3 and basin lines whose blocks of measurement
-entries end in a partial block, fig3 at m = n + 1 (the worst conditioning
-fig3 admits, where alternating projections solves with B^T B), and `gen`
+entries end in a partial block, fig3 at m = n + 1 (a nearly square B, where
+alternating projections' solve with B^T B squares its conditioning), and `gen`
 files with `solve` runs on each of them.
 On each phase retrieval file, `solve ap` runs once more with `--max-iter 37`,
 a cap inside a block of the stop test; the complex and structured runs reach
@@ -72,7 +72,7 @@ BENCH = [
     # basin in chunks of 655 and 306 starts
     ["fig3", "--n", "20", "--m", "1000", "--pairs", "1000", "--d-grid", "0.01,0.1", "--seed", "1"],
     ["basin", "--n", "20", "--grid", "31", "--seed", "1"],
-    # fig3 at m = n + 1: AP's solve with the Gram matrix B^T B at its worst conditioning
+    # fig3 at m = n + 1: AP's solve with the Gram matrix B^T B at a nearly square B
     ["fig3", "--n", "20", "--m", "21", "--pairs", "100", "--d-grid", "0.01,0.1", "--seed", "1"],
 ]
 
