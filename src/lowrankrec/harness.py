@@ -236,7 +236,6 @@ def run_basin(*, seed=0, n=20, m=None, grid=101, half_width=None, max_iter=2000,
     _check_sampled("basin", m, n)
     rng = RngStream(seed, (_TAG_BASIN,))
     inst = gen_phase_retrieval(n, m, "real-gaussian", rng.split(0))
-    x = inst.x_true
     # orthonormal in-plane directions, deterministic from the stream
     g1 = sample_gaussian(rng.split(1), n, "real")
     g2 = sample_gaussian(rng.split(2), n, "real")
@@ -244,8 +243,8 @@ def run_basin(*, seed=0, n=20, m=None, grid=101, half_width=None, max_iter=2000,
     d2 = g2 - (d1 @ g2) * d1
     d2 /= np.linalg.norm(d2)
     # wide enough that competitor basins show up next to the solution's
-    hw = 6.0 * float(np.linalg.norm(x)) if half_width is None else half_width
-    labels = basin_map(inst, x, (d1, d2), hw, grid, max_iter=max_iter)
+    hw = 6.0 * float(np.linalg.norm(inst.x_true)) if half_width is None else half_width
+    labels = basin_map(inst, (d1, d2), hw, grid, max_iter=max_iter)
     rows = [(i, j, int(labels[i, j]))
             for i in range(labels.shape[0]) for j in range(labels.shape[1])]
     if out:

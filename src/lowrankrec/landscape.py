@@ -7,8 +7,8 @@ from __future__ import annotations
 import numpy as np
 
 from . import phase_retrieval
-from .errors import MissingGroundTruth
-# qr_projector is unused but stays importable: perfbench/bench.py wraps it by name
+from .errors import MissingGroundTruth, RankDeficient
+# qr_projector and solve_from_qr are unused: perfbench/bench.py's traced probe wraps them by name
 from .numerics import qr_projector, solve_from_qr  # noqa: F401
 from .phase_retrieval import WF_STEP_SCALE, ap_iterate
 from .problems import dist_mod_phase
@@ -68,8 +68,8 @@ def displacement_probe(algorithm, instance, d, pairs, rng):
     measurement-space stage F, so T(z) - T(z') is formed from F(B z) - F(B z'),
     _BLOCK_ENTRIES // pairs rows of B at a time: no array grows with m x pairs.
     Both back-project through B^T; AP then maps to signal space by
-    B^+ = (B^T B)^{-1} B^T, so B must have full column rank (m >= n, as fig3's
-    Gaussian B has with probability one) and is never factored.
+    B^+ = (B^T B)^{-1} B^T, never factoring B: a B without full column rank
+    (fig3's Gaussian B with m >= n has it) raises RankDeficient.
     """
     if instance.field != "real":
         raise ValueError("displacement probe is defined for real-field instances")
@@ -112,7 +112,10 @@ def displacement_probe(algorithm, instance, d, pairs, rng):
         D -= F(B[i] @ Zp, i)
         acc += B[i].T @ D
     if algorithm == "AP":
-        return float(np.linalg.norm(np.linalg.solve(B.T @ B, acc), axis=0).mean())
+        try:
+            return float(np.linalg.norm(np.linalg.solve(B.T @ B, acc), axis=0).mean())
+        except np.linalg.LinAlgError:
+            raise RankDeficient(f"matrix of shape {B.shape} is rank deficient") from None
     acc *= WF_STEP_SCALE / float(np.mean(b ** 2))  # (Z - Zp) - mu * acc / m, in place
     acc /= m
     Z -= Zp
@@ -120,16 +123,16 @@ def displacement_probe(algorithm, instance, d, pairs, rng):
     return float(np.linalg.norm(Z, axis=0).mean())
 
 
-def basin_map(instance, center, dirs, half_width, grid, max_iter=2000):
+def basin_map(instance, dirs, half_width, grid, max_iter=2000):
     """Attraction-basin labels of alternating projections on an affine 2-plane.
 
-    Each grid point p (the plane center + span(dirs) restricted to the square
-    of the given half width) starts one run at y0 = B p, stopped at a
-    relative change of 1e-10; limits are clustered by pairwise distance
-    modulo phase with merge radius 1e-4 ||x_true||.  Label 0 is reserved for
-    the cluster containing the solution; the other clusters are numbered in
-    order of first appearance.  The runs go _BLOCK_ENTRIES // m starts at a
-    time, so no array grows with m x grid^2.
+    Each grid point p (x_true + span(dirs), within the square of the given
+    half width) starts one run at y0 = B p, stopped at a relative change of
+    1e-10, whose limit x solves R x = c for its coefficients c = Q* y.
+    Limits are clustered by distance modulo phase with merge radius
+    1e-4 ||x_true||.  Label 0 is reserved for the cluster containing the
+    solution; the others are numbered in order of first appearance.  The runs
+    go _BLOCK_ENTRIES // m starts at a time, so no array grows with m x grid^2.
 
     Returns an integer (grid x grid) label array, rows indexing dirs[0].
     """
@@ -143,17 +146,14 @@ def basin_map(instance, center, dirs, half_width, grid, max_iter=2000):
     q, r = instance.qr
     ticks = np.linspace(-half_width, half_width, grid)
     A1, A2 = np.meshgrid(ticks, ticks, indexing="ij")
-    P = (np.asarray(center)[:, None]
-         + d1[:, None] * A1.ravel()[None, :]
+    P = (instance.x_true[:, None] + d1[:, None] * A1.ravel()[None, :]
          + d2[:, None] * A2.ravel()[None, :])
     K = P.shape[1]
 
-    # start in-range, y0 = projection of B p; ap_iterate frees the unnamed start block
-    X = np.empty((instance.n, K))
+    # ap_iterate frees each unnamed start block B p
     cols = max(1, _BLOCK_ENTRIES // instance.m)
-    for s in range(0, K, cols):
-        X[:, s:s + cols] = solve_from_qr(
-            q, r, ap_iterate(q, b, q @ (q.T @ (B @ P[:, s:s + cols])), max_iter, 1e-10)[0])
+    X = np.hstack([np.linalg.solve(r, ap_iterate(q, b, B @ P[:, s:s + cols], max_iter, 1e-10)[0])
+                   for s in range(0, K, cols)])
 
     radius = 1e-4 * float(np.linalg.norm(instance.x_true))
     # each start joins the nearest cluster representative within radius,

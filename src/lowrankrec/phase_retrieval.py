@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 
-# qr_projector is unused but stays importable: perfbench/bench.py wraps it by name
+# qr_projector and solve_from_qr are unused: perfbench/bench.py's traced probe wraps them by name
 from .numerics import (RngStream, dominant_eigenvector, hermitize, qr_projector,  # noqa: F401
                        sample_gaussian, solve_from_qr, torus_project)
 from .problems import SolveReport, rel_error_mod_phase
@@ -61,14 +61,14 @@ def ap_iterate(q, b, Y, max_iter, tol):
     both taken on c, which equals taking them on y since Q has orthonormal
     columns (the first step compares against Q* Y), or after max_iter
     steps.  The columns still running are kept as one contiguous array,
-    compacted only when some column stops.  Returns the final iterates
-    Q c, formed once at exit, and each column's step count and stop flag.
-    || |y_t| - b || is non-increasing in t.
+    compacted only when some column stops.  Returns the n x K final
+    coefficients C, whose iterates are Q C, and each column's step count
+    and stop flag.  || |y_t| - b || is non-increasing in t.
 
     Memory: besides Y, the loop holds one array the size of Y, for y of
-    the live columns, and arrays of n coefficients per column; the output
-    is formed after that array is freed.  Y is not modified; when the
-    caller keeps no reference to it, it is freed after the first step.
+    the live columns, and arrays of n coefficients per column.  Y is not
+    modified; when the caller keeps no reference to it, it is freed after
+    the first step.
 
     The steps run in blocks of up to _BLOCK_STEPS, and the stop test runs
     once per block, over all of its steps.  A block in which some column
@@ -128,8 +128,7 @@ def ap_iterate(q, b, Y, max_iter, tol):
         converged[stopped] = True
         live, C = live[~done], H[j][:, ~done]
     out[:, live] = C
-    buf = y = None  # freed before the output is formed
-    return q @ out, iterations, converged
+    return out, iterations, converged
 
 
 def alternating_projections(instance, rng, max_iter=2000):
@@ -143,9 +142,8 @@ def alternating_projections(instance, rng, max_iter=2000):
     """
     q, r = instance.qr
     y0 = sample_gaussian(rng, instance.m, instance.field)
-    Y, iterations, converged = ap_iterate(q, instance.moduli, y0[:, None], max_iter, 1e-9)
-    y = Y[:, 0]
-    return _report(instance, solve_from_qr(q, r, y), y,
+    C, iterations, converged = ap_iterate(q, instance.moduli, y0[:, None], max_iter, 1e-9)
+    return _report(instance, np.linalg.solve(r, C[:, 0]), (q @ C)[:, 0],
                    iterations=int(iterations[0]), converged=bool(converged[0]))
 
 

@@ -15,8 +15,9 @@ from lowrankrec.landscape import (
     expected_hess_form,
     expected_loss,
 )
+from lowrankrec.errors import RankDeficient
 from lowrankrec.numerics import RngStream, sample_gaussian
-from lowrankrec.problems import dist_mod_phase, gen_phase_retrieval
+from lowrankrec.problems import PhaseRetrievalInstance, dist_mod_phase, gen_phase_retrieval
 
 
 def dict_relabel(labels, sol, clusters):
@@ -213,6 +214,16 @@ class TestDisplacementProbe:
             want = whole_array_displacement("AP", inst, d, 1000, RngStream(41))
             assert got == pytest.approx(want, rel=1e-10)
 
+    def test_ap_rank_deficient_matrix_raises(self):
+        # a repeated column makes B^T B singular: the package's error, naming
+        # B's shape, not numpy's
+        inst = gen_phase_retrieval(8, 80, "real-gaussian", RngStream(46))
+        B = inst.matrix.copy()
+        B[:, 1] = B[:, 0]
+        inst = PhaseRetrievalInstance(inst.kind, B, np.abs(B @ inst.x_true), inst.x_true)
+        with pytest.raises(RankDeficient, match=r"\(80, 8\)"):
+            displacement_probe("AP", inst, 0.01, 10, RngStream(47))
+
     @pytest.mark.parametrize("algorithm", ["AP", "WF"])
     def test_peak_at_the_landscape_size(self, algorithm):
         # (n, m, pairs) = (400, 4000, 1000), in units of one n x pairs array:
@@ -230,11 +241,10 @@ class TestDisplacementProbe:
 
     @pytest.mark.parametrize("algorithm", ["AP", "WF"])
     def test_peak_does_not_grow_with_m(self, algorithm):
-        # the instances and their QR are allocated before tracing
+        # the instances are allocated before tracing
         peaks = []
         for m in (400, 4000):
             inst = gen_phase_retrieval(40, m, "real-gaussian", RngStream(42))
-            inst.qr
             tracemalloc.start()
             try:
                 displacement_probe(algorithm, inst, 0.05, 2000, RngStream(43))
@@ -246,10 +256,9 @@ class TestDisplacementProbe:
     @pytest.mark.parametrize("algorithm", ["AP", "WF"])
     def test_one_measurement_array_at_a_time(self, algorithm):
         # blocks of rows of B X, in units of one m x pairs array, beside
-        # arrays of n x pairs (a tenth of it here); the instance and its QR
-        # are allocated before tracing
+        # arrays of n x pairs (a tenth of it here); only the instance is
+        # allocated before tracing
         inst = gen_phase_retrieval(40, 400, "real-gaussian", RngStream(38))
-        inst.qr
         tracemalloc.start()
         try:
             displacement_probe(algorithm, inst, 0.05, 2000, RngStream(39))
@@ -270,7 +279,7 @@ class TestBasinMap:
         d2 = g2 - (d1 @ g2) * d1
         d2 /= np.linalg.norm(d2)
         hw = 1.5 * float(np.linalg.norm(x))
-        labels = basin_map(inst, x, (d1, d2), hw, grid=21, max_iter=800)
+        labels = basin_map(inst, (d1, d2), hw, grid=21, max_iter=800)
         mid = 10  # the center cell starts exactly at the solution
         assert labels[mid, mid] == 0
         assert labels.min() == 0
@@ -284,25 +293,25 @@ class TestBasinMap:
         dict(seed=7, n=8, grid=15, m=80, max_iter=300),
     ], ids=["landscape-size", "n8-grid7", "n8-seed7"])
     def test_labels_match_greedy_reference(self, monkeypatch, config):
-        # record the instance run_basin maps and the AP limits basin_map
-        # clusters, its solve_from_qr results in call order, one per chunk
+        # record the instance run_basin maps and the coefficients of the AP
+        # limits, ap_iterate's results in call order, one per chunk; the
+        # limits basin_map clusters are their lifts R^-1 c
         seen = []
-        for module, name in ((harness, "basin_map"), (landscape, "solve_from_qr")):
+        for module, name in ((harness, "basin_map"), (landscape, "ap_iterate")):
             def recording(*args, _fn=getattr(module, name), **kwargs):
                 seen.append((args, _fn(*args, **kwargs)))
                 return seen[-1][1]
             monkeypatch.setattr(module, name, recording)
         labels = run_basin(**config)
-        *solves, ((inst, *_), out) = seen
-        limits = np.hstack([x for _, x in solves])
+        *runs, ((inst, *_), out) = seen
+        limits = np.hstack([np.linalg.solve(inst.qr[1], C) for _, (C, *_) in runs])
         assert out is labels
         np.testing.assert_array_equal(labels.ravel(), greedy_labels(limits, inst.x_true))
 
     def test_memory_at_the_landscape_size(self):
         # 10,201 starts of m = 400, mapped in chunks of 655: a chunk's start
-        # block, ap_iterate's array of iterates and its output, each a
-        # sixteenth of a batch-size array, beside arrays of n = 20
-        # coefficients per start
+        # block and ap_iterate's array of iterates, each a sixteenth of a
+        # batch-size array, beside arrays of n = 20 coefficients per start
         tracemalloc.start()
         try:
             run_basin(seed=101, n=20, grid=101)

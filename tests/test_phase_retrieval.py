@@ -130,13 +130,15 @@ class TestAlternatingProjections:
         assert rep.rel_error_mod_phase < 1e-10
 
     def test_residual_trace_non_increasing(self):
-        # || |y_t| - b || at the in-range iterates, one ap_iterate step at a time
+        # || |y_t| - b || at the in-range iterates, one ap_iterate step at a
+        # time, each fed the iterate Q c of the coefficients it returned
         inst = gen_phase_retrieval(10, 60, "complex-gaussian", RngStream(3))
         q, _ = inst.qr
         Y = sample_gaussian(RngStream(4), inst.m, inst.field)[:, None]
         r = []
         for _ in range(300):
-            Y, _, converged = ap_iterate(q, inst.moduli, Y, 1, 1e-9)
+            C, _, converged = ap_iterate(q, inst.moduli, Y, 1, 1e-9)
+            Y = q @ C
             r.append(float(np.linalg.norm(np.abs(Y[:, 0]) - inst.moduli)))
             if converged[0]:
                 break
@@ -169,12 +171,14 @@ class TestAlternatingProjections:
 
 class TestAPIterate:
     def test_single_column_is_the_plain_loop(self):
-        # one column runs exactly the textbook iteration, bit for bit
+        # one column runs exactly the textbook iteration, bit for bit: its
+        # iterate is Q c of the n coefficients returned
         inst = gen_phase_retrieval(10, 50, "complex-gaussian", RngStream(42))
         q, _ = qr_projector(inst.matrix)
         b = inst.moduli
         y = sample_gaussian(RngStream(43), inst.m, "complex")
-        Y, iterations, converged = ap_iterate(q, b, y[:, None], 2000, 1e-9)
+        C, iterations, converged = ap_iterate(q, b, y[:, None], 2000, 1e-9)
+        assert C.shape == (inst.n, 1)
         for t in range(1, 2001):
             y_new = q @ (q.conj().T @ project_modulus(y, b))
             change = np.linalg.norm(y_new - y)
@@ -182,7 +186,7 @@ class TestAPIterate:
             if change <= 1e-9 * np.linalg.norm(y):
                 break
         assert converged[0] and iterations[0] == t
-        assert np.array_equal(Y[:, 0], y)
+        assert np.array_equal((q @ C)[:, 0], y)
         # the solver, drawing the same start, reports the plain loop's last residual
         rep = alternating_projections(inst, RngStream(43))
         assert rep.residual_trace[-1] == float(np.linalg.norm(np.abs(y) - b))
@@ -190,18 +194,18 @@ class TestAPIterate:
     @pytest.mark.parametrize("kind, max_iter", [("complex-gaussian", 200), ("real-gaussian", 7)])
     def test_stacked_starts_match_single_columns(self, kind, max_iter):
         # BLAS rounds a product with several columns (gemm) differently from
-        # a one-column product (gemv), so iterates agree to rounding error;
-        # iteration counts and stop reasons agree exactly
+        # a one-column product (gemv), so coefficients agree to rounding
+        # error; iteration counts and stop reasons agree exactly
         inst = gen_phase_retrieval(10, 40, kind, RngStream(44))
         q, _ = qr_projector(inst.matrix)
         Y0 = np.stack([sample_gaussian(RngStream(45, (k,)), inst.m, inst.field)
                        for k in range(8)], axis=1)
-        Y, iterations, converged = ap_iterate(q, inst.moduli, Y0, max_iter, 1e-9)
+        C, iterations, converged = ap_iterate(q, inst.moduli, Y0, max_iter, 1e-9)
         assert 0 < converged.sum() < 8  # both stops, converged and capped, occur
         for k in range(8):
-            y, it, conv = ap_iterate(q, inst.moduli, Y0[:, k:k + 1], max_iter, 1e-9)
+            c, it, conv = ap_iterate(q, inst.moduli, Y0[:, k:k + 1], max_iter, 1e-9)
             assert (it[0], conv[0]) == (iterations[k], converged[k])
-            assert np.linalg.norm(y[:, 0] - Y[:, k]) <= 1e-12 * np.linalg.norm(Y[:, k])
+            assert np.linalg.norm(c[:, 0] - C[:, k]) <= 1e-12 * np.linalg.norm(C[:, k])
 
 
 def _stepwise_ap(q, b, Y, max_iter, tol):
@@ -226,8 +230,8 @@ def _stepwise_ap(q, b, Y, max_iter, tol):
 
 def _stepwise_ap_coefficients(q, b, Y, max_iter, tol):
     # the same loop carried in coefficients c = Q* y: each step forms
-    # y = Q c over the columns still running, and the output is Q c of
-    # every column, formed once at the end
+    # y = Q c over the columns still running, and the output is c of every
+    # column
     qh = q.conj().T
     C = qh @ Y
     out = np.empty_like(C)
@@ -245,7 +249,7 @@ def _stepwise_ap_coefficients(q, b, Y, max_iter, tol):
         live, C = live[~done], C[:, ~done]
         Y = q @ C
     out[:, live] = C
-    return q @ out, iterations, converged
+    return out, iterations, converged
 
 
 def _trajectory(q, b, y, steps):
@@ -271,8 +275,8 @@ def _tol_first_met_at(ratios, t):
 class TestAPIterateMemory:
     def test_one_array_of_the_batch_and_the_input_kept(self):
         # a real batch of 400 x 3000 runs one-step blocks (Y.size > 2**14):
-        # one array of iterates, projected in place, then the output, beside
-        # arrays of n = 20 coefficients per column
+        # one array of iterates, projected in place, beside arrays of n = 20
+        # coefficients per column
         inst = gen_phase_retrieval(20, 400, "real-gaussian", RngStream(70))
         q, _ = qr_projector(inst.matrix)
         Y = np.random.default_rng(71).standard_normal((400, 3000))
@@ -290,7 +294,8 @@ class TestAPIterateMemory:
 
 class TestAPIterateBlocks:
     # the stop test runs once per block of _BLOCK_STEPS steps; every
-    # iterate, count and flag must have the bits of a test after each step.
+    # coefficient, count and flag must have the bits of a test after each
+    # step, and Q c those of the loop in measurement space.
     # Real AP reaches an exact fixed point within a few steps, so the real
     # field runs with blocks of 3
     CASES = [("complex-gaussian", 10, 50, phase_retrieval._BLOCK_STEPS),
@@ -308,8 +313,9 @@ class TestAPIterateBlocks:
     @staticmethod
     def _assert_same_bits(q, b, Y, max_iter, tol):
         got = ap_iterate(q, b, Y, max_iter, tol)
-        want = _stepwise_ap(q, b, Y, max_iter, tol)
+        want = _stepwise_ap_coefficients(q, b, Y, max_iter, tol)
         assert got[0].tobytes() == want[0].tobytes()
+        assert (q @ got[0]).tobytes() == _stepwise_ap(q, b, Y, max_iter, tol)[0].tobytes()
         assert np.array_equal(got[1], want[1]) and np.array_equal(got[2], want[2])
         return want
 
@@ -347,7 +353,7 @@ class TestAPIterateBlocks:
         want = _stepwise_ap_coefficients(q, b, Y, 4 * S, tol)
         assert got[0].tobytes() == want[0].tobytes()
         y_space = _stepwise_ap(q, b, Y, 4 * S, tol)
-        np.testing.assert_allclose(got[0], y_space[0], rtol=1e-14, atol=0)
+        np.testing.assert_allclose(q @ got[0], y_space[0], rtol=1e-14, atol=0)
         for flags in (want, y_space):
             assert np.array_equal(got[1], flags[1]) and np.array_equal(got[2], flags[2])
         assert list(got[1]) == [2 * S - s for s in offsets]

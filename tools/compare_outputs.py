@@ -18,8 +18,10 @@ at n = 40 (reference widths where Levenberg-Marquardt solves its m x m
 system), fig1 AP trials capped at 37 steps, inside a block of alternating
 projections' stop test, fig3 and basin lines whose blocks of measurement
 entries end in a partial block, fig3 at m = n + 1 (a nearly square B, where
-alternating projections' solve with B^T B squares its conditioning), and `gen`
-files with `solve` runs on each of them.
+alternating projections' solve with B^T B squares its conditioning), basin at
+m = n + 1 (where lifting the limits' coefficients through R is worst
+conditioned; the map has 10 clusters), and `gen` files with `solve` runs on
+each of them.
 On each phase retrieval file, `solve ap` runs once more with `--max-iter 37`,
 a cap inside a block of the stop test; the complex and structured runs reach
 it, the real-field run converges at step 11.
@@ -74,6 +76,8 @@ BENCH = [
     ["basin", "--n", "20", "--grid", "31", "--seed", "1"],
     # fig3 at m = n + 1: AP's solve with the Gram matrix B^T B at a nearly square B
     ["fig3", "--n", "20", "--m", "21", "--pairs", "100", "--d-grid", "0.01,0.1", "--seed", "1"],
+    # basin at m = n + 1: the lift of the AP coefficients through R is worst conditioned
+    ["basin", "--n", "8", "--m", "9", "--grid", "7", "--max-iter", "300", "--seed", "1"],
 ]
 
 # instance files: name -> `gen` arguments, and the solvers run on each
