@@ -296,8 +296,8 @@ def run_sync(*, seed=0, n=200, sigma_grid=(0.0, 0.1, 0.2, 0.3, 0.5), max_iter=10
         rows.append((frac, sigma, n, report.iterations, report.converged,
                      report.rel_error_mod_phase, rho, r2, seed))
         if loo:
-            diag = loo_run(inst, history)
-            loo_tables.append((si, diag))
+            loo_tables.append((si, loo_run(inst, history)))
+        del inst, history  # one instance alive at a time
     if out:
         write_csv(out,
                   ("sigma_frac", "sigma", "n", "iterations", "converged",

@@ -15,6 +15,8 @@ _INIT_SEED = 0x6E37  # fixed internal stream: gpm is deterministic given the ins
 
 _AUX_MAX_ITER = 50_000  # power products before _aux_principal raises NonConvergence
 
+_BLOCK = 64  # rows or columns per block of the leave-one-out O(n^2) passes
+
 
 def fixed_point_residual(C, z):
     """|| P(Cz) - z || where P is the entrywise phase projection."""
@@ -110,20 +112,39 @@ class LeaveOneOutDiagnostics:
                    float(self.max_corr_main[t]), float(self.max_corr_aux[t]))
 
 
-def _aux_matvec(C, W, Z):
-    """Columnwise C^(k) @ Z[:, k] for all k without materializing the C^(k).
+def _blocks(n):
+    """Column blocks of _BLOCK; a last block one column wide takes its left
+    neighbour too, since numpy sums one column pairwise and two or more in order."""
+    return [slice(min(s, n - 2), s + _BLOCK) for s in range(0, n, _BLOCK)]
+
+
+def _norms(x, buf):
+    """np.linalg.norm(x, axis=0) bit for bit, with conj(x) x formed in buf."""
+    b = np.multiply(np.conjugate(x, out=buf), x, out=buf)
+    return np.sqrt(np.add.reduce(b.real, axis=0))
+
+
+def _aux_matvec(C, W, Z, M, d=None):
+    """Columnwise C^(k) @ Z[:, k] for all k into M, without materializing the C^(k).
 
     C^(k) differs from C by zeroing the k-th row and column of the noise:
     C^(k) z = C z - e_k <W_:,k, z> - W_:,k z_k.  A single column Z stands for
-    n equal columns, and C @ Z is then one matrix-vector product.
+    n equal columns, and C @ Z is then one matrix-vector product.  d holds the
+    products <W_:,k, Z_:,k> if the caller has them; W is exactly Hermitian, so
+    they are read off its rows.  Writes only M, which must not overlap Z.
     """
-    M = C @ Z
+    n = W.shape[1]
     if Z.shape[1] == 1:
-        M = np.repeat(M, W.shape[1], axis=1)
+        M[...] = C @ Z
         Z = np.broadcast_to(Z, M.shape)
-    d = np.einsum("ij,ij->j", W.conj(), Z)
-    M[np.arange(Z.shape[0]), np.arange(Z.shape[1])] -= d
-    M -= W * np.diagonal(Z)[None, :]
+    else:
+        np.matmul(C, Z, out=M)
+    if d is None:
+        d = np.einsum("ji,ij->j", W, Z)
+    M[np.arange(n), np.arange(n)] -= d
+    z = np.diagonal(Z)
+    for s in range(0, n, _BLOCK):
+        M[s:s + _BLOCK] -= W[s:s + _BLOCK] * z
     return M
 
 
@@ -133,22 +154,33 @@ def _aux_principal(C, W, v):
     Every column starts at v, gpm's start vector (the principal vector of C),
     so the first product is one matrix-vector product.  Returns (V, M) with
     M[:, k] = C^(k) V[:, k]: the last power product, which is also the first
-    lockstep GPM step.  The iteration is unshifted, so a column whose C^(k)
-    has a negative eigenvalue dominant in modulus converges to it; that is
-    raised as NonConvergence, as is a residual above tol after _AUX_MAX_ITER.
+    lockstep GPM step.  V and M are its two n x n working arrays, returned
+    without a copy; v is not written, and a V returned after one product is
+    a read-only broadcast of v.  The iteration is unshifted, so a column
+    whose C^(k) has a negative eigenvalue dominant in modulus converges to
+    it; that is raised as NonConvergence, as is a residual above tol after
+    _AUX_MAX_ITER.
     """
-    V = v[:, None]
+    n = C.shape[0]
+    V, M = v[:, None], np.empty_like(C)
+    bufs = np.empty((2, n, _BLOCK), dtype=complex)
+    lam, res, norms = np.empty((3, n))
     for _ in range(_AUX_MAX_ITER):
-        M = _aux_matvec(C, W, V)
-        lam = np.real(np.einsum("ij,ij->j", V.conj(), M))
-        res = np.linalg.norm(M - V * lam[None, :], axis=0)
+        _aux_matvec(C, W, V, M)
+        Vn = np.broadcast_to(V, M.shape)
+        for s in _blocks(n):
+            x, m = Vn[:, s], M[:, s]
+            b, b2 = bufs[:, :, :x.shape[1]]
+            lam[s] = np.real(np.einsum("ij,ij->j", np.conjugate(x, out=b), m))
+            res[s] = _norms(np.subtract(m, np.multiply(x, lam[s], out=b), out=b), b2)
+            norms[s] = _norms(m, b)
         if np.all(res <= 1e-9 * (1.0 + np.abs(lam))):
             k = int(np.argmin(lam))
             if lam[k] <= 0.0:
                 raise NonConvergence(f"leave-one-out power iteration: column {k} converged "
                                      f"to eigenvalue {lam[k]:.6g} <= 0, not the top one")
-            return np.broadcast_to(V, M.shape), M
-        V = M / np.linalg.norm(M, axis=0)
+            return Vn, M
+        V = np.divide(M, norms, out=V if V.shape == M.shape else None)
     raise NonConvergence(f"leave-one-out power iteration residual {res.max():.3e} "
                          f"above tol after {_AUX_MAX_ITER} iterations")
 
@@ -159,23 +191,27 @@ def loo_run(instance, history):
     Each auxiliary sequence starts from the principal eigenvector of its own
     modified observation matrix, found by power iteration from gpm's start
     vector z_0, and takes one GPM step per main step.  The last power product
-    is the first lockstep step.
+    is the first lockstep step.  Besides C and W it holds two n x n working
+    arrays: the product M and its phases Z.
     """
-    C = instance.observations
-    W = instance.noise
+    C, W = instance.observations, instance.noise
     M = _aux_principal(C, W, history[0])[1]
+    Z = np.empty_like(M)
+    na2 = np.empty(M.shape[1])
     max_dist, corr_main, corr_aux = [], [], []
     for t, z in enumerate(history[1:]):
         if t:
-            M = _aux_matvec(C, W, Z)
-        Z = torus_project(M)
+            _aux_matvec(C, W, Z, M, d)
+        for s in range(0, M.shape[0], _BLOCK):
+            Z[s:s + _BLOCK] = torus_project(M[s:s + _BLOCK])
         ip = np.abs(z.conj() @ Z)  # |<z, Z_:,k>| per column
         nz2 = float(np.real(np.vdot(z, z)))
-        na2 = np.sum(np.abs(Z) ** 2, axis=0)
+        for s in _blocks(Z.shape[1]):
+            na2[s] = np.sum(np.abs(Z[:, s]) ** 2, axis=0)
         d2 = np.maximum(0.0, nz2 + na2 - 2.0 * ip)
         max_dist.append(float(np.sqrt(d2.max())))
         corr_main.append(float(np.abs(W @ z).max()))
-        d = np.einsum("ij,ij->j", W.conj(), Z)
+        d = np.einsum("ji,ij->j", W, Z)
         corr_aux.append(float(np.abs(d).max()))
     return LeaveOneOutDiagnostics(
         max_dist_aux=np.asarray(max_dist),

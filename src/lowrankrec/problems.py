@@ -20,7 +20,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import InvalidDimension
-from .numerics import hermitize, qr_projector, sample_gaussian
+from .numerics import qr_projector, sample_gaussian
 
 ENSEMBLE_KINDS = ("complex-gaussian", "real-gaussian", "structured-frame")
 
@@ -128,7 +128,7 @@ def gen_sync(n, sigma, rng):
     z has i.i.d. uniform phases; the strict upper triangle of W holds i.i.d.
     complex normals with E|w|^2 = sigma^2, the diagonal is zero and the lower
     triangle mirrors by conjugation, so C is exactly Hermitian with unit
-    diagonal.
+    diagonal.  Both are built in place, C as the Hermitian part of z z* plus W.
     """
     if n < 2:
         raise ValueError("n must be >= 2")
@@ -138,10 +138,12 @@ def gen_sync(n, sigma, rng):
     z = np.exp(1j * theta)
     W = np.zeros((n, n), dtype=complex)
     if sigma > 0:
-        iu = np.triu_indices(n, k=1)
-        W[iu] = sigma * sample_gaussian(rng, len(iu[0]), "complex")
-        W = W + W.conj().T
-    C = hermitize(np.outer(z, z.conj())) + W
+        W[np.triu_indices(n, k=1)] = sigma * sample_gaussian(rng, n * (n - 1) // 2, "complex")
+        W += W.conj().T
+    C = np.outer(z, z.conj())
+    C += C.conj().T
+    C /= 2.0
+    C += W
     np.fill_diagonal(C, 1.0)
     return SyncInstance(C, z, float(sigma), W)
 

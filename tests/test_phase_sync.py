@@ -1,9 +1,12 @@
 import math
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 
-from lowrankrec import phase_sync
+from lowrankrec import harness, phase_sync
+from lowrankrec.harness import run_sync
 from lowrankrec.errors import NonConvergence, NumericFailure
 from lowrankrec.numerics import RngStream, sample_gaussian, torus_project
 from lowrankrec.phase_sync import (
@@ -186,8 +189,12 @@ class TestLeaveOneOut:
         assert rows[0][0] == 1 and len(rows[0]) == 4
 
     def test_matches_recomputed_main_sequence(self):
-        # zero noise, moderate noise, and a run capped before convergence
-        cases = ((30, 0.0, 1000, True), (120, 0.3, 1000, True), (120, 0.5, 4, False))
+        # zero noise, moderate noise, a run capped before convergence, and
+        # sizes whose last block of columns is partial: 22 columns wide at
+        # n = 150, and one column wide at n = 129, which the kernel widens
+        # to two, since numpy sums a single column pairwise
+        cases = ((30, 0.0, 1000, True), (120, 0.3, 1000, True), (120, 0.5, 4, False),
+                 (150, 0.3, 1000, True), (129, 0.4, 1000, True))
         for n, frac, max_iter, converges in cases:
             inst = gen_sync(n, frac * sigma_scale(n), RngStream(19))
             report, history = gpm(inst, max_iter=max_iter)
@@ -198,6 +205,21 @@ class TestLeaveOneOut:
             assert np.array_equal(diag.max_dist_aux, ref[0])
             assert np.array_equal(diag.max_corr_main, ref[1])
             assert np.array_equal(diag.max_corr_aux, ref[2])
+
+    @pytest.mark.parametrize("n", [12, 129, 150])
+    def test_kernel_matches_full_array_formulas(self, n):
+        # every column, bit for bit: the last block of columns is 22 wide at
+        # n = 150 and one wide at n = 129, where the kernel widens it to two;
+        # the lockstep sequences above only show each step's column maxima
+        inst = gen_sync(n, 0.3 * sigma_scale(n), RngStream(23))
+        C, W = inst.observations, inst.noise
+        v = _principal_vector(C)
+        V, M = _aux_principal(C, W, v)
+        V_ref, M_ref = reference_principal(C, W, v)
+        assert np.array_equal(V, V_ref) and np.array_equal(M, M_ref)
+        for Z in (torus_project(M), v[:, None]):
+            assert np.array_equal(_aux_matvec(C, W, Z, np.empty_like(C)),
+                                  reference_matvec(C, W, Z))
 
     def test_aux_principal_non_convergence_raised(self, monkeypatch):
         inst = gen_sync(20, 0.3, RngStream(20))
@@ -228,6 +250,46 @@ class TestLeaveOneOut:
         assert -w[0] > w[-1] > 0
 
 
+class TestLeaveOneOutMemory:
+    """Peaks by tracemalloc at n = 200, in units of one n x n complex array."""
+
+    N = 200
+    ARRAY = N * N * 16  # 0.64 MB
+
+    def traced_peak(self, f, *args):
+        tracemalloc.start()
+        try:
+            f(*args)
+            return tracemalloc.get_traced_memory()[1] / self.ARRAY
+        finally:
+            tracemalloc.stop()
+
+    def test_loo_run_holds_two_working_arrays(self):
+        # M and Z beside blocks of 64 columns, a third of an array here: 3.2
+        # arrays above the inputs; full-array passes reached 4.2
+        inst = gen_sync(self.N, 0.3 * sigma_scale(self.N), RngStream(24))
+        history = gpm(inst)[1]
+        assert self.traced_peak(loo_run, inst, history) < 3.7
+
+    def test_gen_sync_builds_in_place(self):
+        # W, C and one conjugate transpose: 3.2 arrays; out of place, 4.7
+        gen_sync(8, 1.0, RngStream(25))  # first-call allocations stay outside the trace
+        assert self.traced_peak(gen_sync, self.N, 0.3 * sigma_scale(self.N), RngStream(25)) < 4.0
+
+    def test_run_sync_holds_one_instance_at_a_time(self, monkeypatch):
+        held = []
+
+        def tracked_gen_sync(*args):
+            assert all(ref() is None for ref in held), "the previous instance is still held"
+            inst = gen_sync(*args)
+            held.extend((weakref.ref(inst.observations), weakref.ref(inst.noise)))
+            return inst
+
+        monkeypatch.setattr(harness, "gen_sync", tracked_gen_sync)
+        run_sync(n=40, sigma_grid=(0.1, 0.3), loo=True)
+        assert len(held) == 4
+
+
 def dense_aux_matrix(C, W, k):
     """C^(k): the observations rebuilt with the k-th row and column of the noise zeroed."""
     Wk = W.copy()
@@ -236,16 +298,42 @@ def dense_aux_matrix(C, W, k):
     return C - W + Wk
 
 
+def reference_matvec(C, W, Z):
+    """Columnwise C^(k) @ Z[:, k] with full-array formulas: C @ Z, then the
+    einsum and diagonal corrections; a single column Z stands for n."""
+    n = C.shape[0]
+    M = C @ Z
+    if Z.shape[1] == 1:
+        M = np.repeat(M, n, axis=1)
+        Z = np.broadcast_to(Z, M.shape)
+    M[np.arange(n), np.arange(n)] -= np.einsum("ij,ij->j", W.conj(), Z)
+    M -= W * np.diagonal(Z)[None, :]
+    return M
+
+
+def reference_principal(C, W, v):
+    """The batched power iteration with full-array formulas: normalization by
+    np.linalg.norm and the 1e-9 stop test on the Rayleigh quotients."""
+    V = v[:, None]
+    while True:
+        M = reference_matvec(C, W, V)
+        lam = np.real(np.einsum("ij,ij->j", V.conj(), M))
+        if np.all(np.linalg.norm(M - V * lam[None, :], axis=0) <= 1e-9 * (1.0 + np.abs(lam))):
+            return np.broadcast_to(V, M.shape), M
+        V = M / np.linalg.norm(M, axis=0)
+
+
 def lockstep_reference(inst, max_iter, tol):
-    """The main GPM sequence recomputed beside the auxiliary ones, step for step."""
+    """The main GPM sequence recomputed beside the auxiliary ones, step for
+    step, with the full-array formulas above rather than the kernel under test."""
     C, W = inst.observations, inst.noise
     z = _principal_vector(C)
-    M = _aux_principal(C, W, z)[1]
+    M = reference_principal(C, W, z)[1]
     max_dist, corr_main, corr_aux = [], [], []
     for t in range(max_iter):
         p = torus_project(C @ z)
         if t:
-            M = _aux_matvec(C, W, Z)
+            M = reference_matvec(C, W, Z)
         P = torus_project(M)
         if float(np.linalg.norm(p - z)) < tol:
             break
