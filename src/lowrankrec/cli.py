@@ -168,10 +168,8 @@ def _cmd_solve(args):
         if isinstance(inst, PhaseRetrievalInstance):
             _check_sampled("bm", inst.m, inst.n)
             prob = phasecut_cost(inst)
-        elif isinstance(inst, SyncInstance):
+        else:  # load_instance returns no other type: instance_from_dict rejects it
             prob = sync_cost(inst)
-        else:
-            raise ValueError("bm expects a phase retrieval or synchronization instance")
         if args.p > prob.dim:
             raise ValueError(f"--p must be <= N = {prob.dim}, got {args.p}")
         V, report = riemannian_gd(prob, args.p, RngStream(args.seed), **cap)

@@ -306,7 +306,8 @@ def run_sync(*, seed=0, n=200, sigma_grid=(0.0, 0.1, 0.2, 0.3, 0.5), max_iter=10
         for si, diag in loo_tables:
             write_csv(f"{out}.loo{si}.csv",
                       ("t", "max_dist_aux", "max_corr_main", "max_corr_aux"),
-                      list(diag.rows()))
+                      zip(range(1, diag.iterations + 1), diag.max_dist_aux,
+                          diag.max_corr_main, diag.max_corr_aux))
     return rows, loo_tables
 
 

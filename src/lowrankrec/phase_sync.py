@@ -106,22 +106,11 @@ class LeaveOneOutDiagnostics:
     def iterations(self):
         return len(self.max_dist_aux)
 
-    def rows(self):
-        for t in range(self.iterations):
-            yield (t + 1, float(self.max_dist_aux[t]),
-                   float(self.max_corr_main[t]), float(self.max_corr_aux[t]))
-
 
 def _blocks(n):
     """Column blocks of _BLOCK; a last block one column wide takes its left
     neighbour too, since numpy sums one column pairwise and two or more in order."""
     return [slice(min(s, n - 2), s + _BLOCK) for s in range(0, n, _BLOCK)]
-
-
-def _norms(x, buf):
-    """np.linalg.norm(x, axis=0) bit for bit, with conj(x) x formed in buf."""
-    b = np.multiply(np.conjugate(x, out=buf), x, out=buf)
-    return np.sqrt(np.add.reduce(b.real, axis=0))
 
 
 def _aux_matvec(C, W, Z, M, d=None):
@@ -163,17 +152,15 @@ def _aux_principal(C, W, v):
     """
     n = C.shape[0]
     V, M = v[:, None], np.empty_like(C)
-    bufs = np.empty((2, n, _BLOCK), dtype=complex)
     lam, res, norms = np.empty((3, n))
     for _ in range(_AUX_MAX_ITER):
         _aux_matvec(C, W, V, M)
         Vn = np.broadcast_to(V, M.shape)
         for s in _blocks(n):
             x, m = Vn[:, s], M[:, s]
-            b, b2 = bufs[:, :, :x.shape[1]]
-            lam[s] = np.real(np.einsum("ij,ij->j", np.conjugate(x, out=b), m))
-            res[s] = _norms(np.subtract(m, np.multiply(x, lam[s], out=b), out=b), b2)
-            norms[s] = _norms(m, b)
+            lam[s] = np.real(np.einsum("ij,ij->j", x.conj(), m))
+            res[s] = np.linalg.norm(m - x * lam[s], axis=0)
+            norms[s] = np.linalg.norm(m, axis=0)
         if np.all(res <= 1e-9 * (1.0 + np.abs(lam))):
             k = int(np.argmin(lam))
             if lam[k] <= 0.0:

@@ -102,11 +102,16 @@ class TestCSVShape:
 
     def test_loo_dump(self, tmp_path):
         out = tmp_path / "s.csv"
-        run_sync(seed=2, n=30, sigma_grid=(0.1,),
-                 loo=True, out=str(out))
+        _, loo_tables = run_sync(seed=2, n=30, sigma_grid=(0.1,),
+                                 loo=True, out=str(out))
         loo = read(str(out) + ".loo0.csv").decode().strip().split("\n")
         assert loo[0] == "t,max_dist_aux,max_corr_main,max_corr_aux"
         assert len(loo) >= 2
+        # one row per lockstep iteration, numbered from 1, of four columns
+        rows = [line.split(",") for line in loo[1:]]
+        assert len(rows) == loo_tables[0][1].iterations
+        assert [int(r[0]) for r in rows] == list(range(1, len(rows) + 1))
+        assert all(len(r) == 4 for r in rows)
 
     def test_basin_labels(self):
         labels = run_basin(seed=6, n=8, grid=9,
@@ -559,11 +564,40 @@ class TestCLI:
                    "--out", str(tmp_path / "x.json")])
         assert rc == 2
 
-    def test_solver_mismatch_exit_code(self, tmp_path):
-        inst_path = tmp_path / "sync.json"
-        main(["gen", "sync", "--n", "10", "--sigma", "0.1", "--out", str(inst_path)])
-        rc = main(["solve", "ap", "--in", str(inst_path)])
+    @pytest.mark.parametrize("solver, gen, message", [
+        ("ap", ["sync", "--n", "10", "--sigma", "0.1"], "ap expects a phase retrieval instance"),
+        ("gpm", ["pr", "--n", "8", "--m", "48"], "gpm expects a synchronization instance"),
+    ], ids=["ap-on-sync", "gpm-on-pr"])
+    def test_solver_mismatch_exit_code(self, tmp_path, capsys, solver, gen, message):
+        inst_path = tmp_path / "inst.json"
+        main(["gen", *gen, "--out", str(inst_path)])
+        rc = main(["solve", solver, "--in", str(inst_path)])
         assert rc == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("solver, gen", [
+        ("ap", ["pr", "--n", "8", "--m", "48"]),
+        ("gpm", ["sync", "--n", "8", "--sigma", "0.1"]),
+    ], ids=["ap", "gpm"])
+    def test_solve_prints_the_json_it_writes(self, tmp_path, capsys, solver, gen):
+        inst_path = tmp_path / "inst.json"
+        main(["gen", *gen, "--out", str(inst_path)])
+        out = tmp_path / "report.json"
+        assert main(["solve", solver, "--in", str(inst_path), "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert main(["solve", solver, "--in", str(inst_path)]) == 0
+        assert capsys.readouterr().out == read(out).decode()
+
+    @pytest.mark.parametrize("matrix", ["not numbers", {"re": 1.0}, [[[1.0, 0.0]], [[1.0]]]],
+                             ids=["string", "object", "ragged"])
+    def test_non_numeric_instance_exit_code(self, tmp_path, capsys, matrix):
+        inst_path = tmp_path / "inst.json"
+        main(["gen", "pr", "--n", "8", "--m", "48", "--out", str(inst_path)])
+        data = json.loads(read(inst_path))
+        data["matrix"] = matrix
+        inst_path.write_text(json.dumps(data))
+        assert main(["solve", "ap", "--in", str(inst_path)]) == 2
+        assert "instance field 'matrix' is not a numeric array" in capsys.readouterr().err
 
     @pytest.mark.parametrize("n", ["1", "0"])
     @pytest.mark.parametrize("figure", ["sync", "fig3", "basin"])

@@ -15,7 +15,7 @@ from lowrankrec.landscape import (
     expected_hess_form,
     expected_loss,
 )
-from lowrankrec.errors import RankDeficient
+from lowrankrec.errors import MissingGroundTruth, RankDeficient
 from lowrankrec.numerics import RngStream, sample_gaussian
 from lowrankrec.problems import PhaseRetrievalInstance, dist_mod_phase, gen_phase_retrieval
 
@@ -187,6 +187,20 @@ class TestDisplacementProbe:
         assert wf < d          # locally Lipschitz with constant < 1
         assert ap > 3 * d      # non-Lipschitz blowup at small separations
 
+    @pytest.mark.parametrize("algorithm, d, truth, error, match", [
+        ("AP", 0.0, True, ValueError, r"d must lie in \(0, 2\)"),
+        ("WF", 2.0, True, ValueError, r"d must lie in \(0, 2\)"),
+        ("AP", -0.1, True, ValueError, r"d must lie in \(0, 2\)"),
+        ("WF", 0.01, False, MissingGroundTruth, "requires a ground-truth signal"),
+        ("GD", 0.01, True, ValueError, "unknown algorithm 'GD'"),
+    ], ids=["d-zero", "d-two", "d-negative", "no-truth", "unknown-algorithm"])
+    def test_rejects_bad_arguments(self, algorithm, d, truth, error, match):
+        inst = gen_phase_retrieval(8, 40, "real-gaussian", RngStream(31))
+        if not truth:
+            inst = PhaseRetrievalInstance(inst.kind, inst.matrix, inst.moduli, None)
+        with pytest.raises(error, match=match):
+            displacement_probe(algorithm, inst, d, 10, RngStream(32))
+
     def test_pair_distance_is_exact(self):
         # construction contract: ||z - z'|| = d
         inst = gen_phase_retrieval(50, 500, "real-gaussian", RngStream(36))
@@ -286,6 +300,18 @@ class TestBasinMap:
         assert len(np.unique(labels)) >= 2
         # the solution basin dominates the map
         assert np.mean(labels == 0) > 0.5
+
+    @pytest.mark.parametrize("kind, truth, error, match", [
+        ("complex-gaussian", True, ValueError, "defined for real-field instances"),
+        ("real-gaussian", False, MissingGroundTruth, "requires a ground-truth signal"),
+    ], ids=["complex", "no-truth"])
+    def test_rejects_bad_instance(self, kind, truth, error, match):
+        inst = gen_phase_retrieval(4, 16, kind, RngStream(43))
+        if not truth:
+            inst = PhaseRetrievalInstance(inst.kind, inst.matrix, inst.moduli, None)
+        dirs = np.eye(4)[:2]
+        with pytest.raises(error, match=match):
+            basin_map(inst, dirs, 1.0, grid=3)
 
     @pytest.mark.parametrize("config", [
         dict(seed=101, n=20, grid=101),

@@ -75,6 +75,15 @@ class TestDominantEigenvector:
         assert lam == pytest.approx(w[-1], abs=1e-8 * max(1.0, abs(w[-1])))
         assert abs(np.vdot(v, q[:, -1])) == pytest.approx(1.0, abs=1e-6)
 
+    @pytest.mark.parametrize("H, tol, match", [
+        (np.zeros((0, 0)), 1e-10, "empty matrix"),
+        (np.eye(3), 0.0, "tol must be positive"),
+        (np.eye(3), -1e-10, "tol must be positive"),
+    ], ids=["empty", "tol-zero", "tol-negative"])
+    def test_rejects_bad_arguments(self, H, tol, match):
+        with pytest.raises(ValueError, match=match):
+            dominant_eigenvector(H, tol=tol, rng=RngStream(4))
+
     def test_non_convergence_raised(self):
         from lowrankrec.errors import NonConvergence
         H = random_hermitian(RngStream(55), 24)

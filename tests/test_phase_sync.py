@@ -181,13 +181,6 @@ class TestLeaveOneOut:
         assert np.all(diag.max_dist_aux <= math.sqrt(n) / 60)
         assert np.all(diag.max_corr_aux <= 5 * sigma * math.sqrt(n * math.log(n)))
 
-    def test_rows_schema(self):
-        inst = gen_sync(20, 0.3, RngStream(17))
-        diag = loo_run(inst, gpm(inst, max_iter=30)[1])
-        rows = list(diag.rows())
-        assert len(rows) == diag.iterations
-        assert rows[0][0] == 1 and len(rows[0]) == 4
-
     def test_matches_recomputed_main_sequence(self):
         # zero noise, moderate noise, a run capped before convergence, and
         # sizes whose last block of columns is partial: 22 columns wide at

@@ -55,6 +55,15 @@ class TestGenPhaseRetrieval:
             want[i] = base[j] * np.exp(2j * np.pi * k * r / n)
         assert haar_frame(n, m).tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("n, m, kind, match", [
+        (0, 8, "complex-gaussian", "n and m must be >= 1"),
+        (8, 0, "real-gaussian", "n and m must be >= 1"),
+        (8, 24, "poisson", "unknown ensemble kind 'poisson'"),
+    ], ids=["n-zero", "m-zero", "unknown-kind"])
+    def test_rejects_bad_arguments(self, n, m, kind, match):
+        with pytest.raises(ValueError, match=match):
+            gen_phase_retrieval(n, m, kind, RngStream(8))
+
     def test_real_kind_is_real(self):
         inst = gen_phase_retrieval(6, 20, "real-gaussian", RngStream(7))
         assert inst.field == "real"
@@ -95,6 +104,11 @@ class TestGenSync:
     def test_unit_modulus_truth(self):
         inst = gen_sync(30, 0.5, RngStream(15))
         assert np.allclose(np.abs(inst.z_true), 1.0, atol=1e-12)
+
+    @pytest.mark.parametrize("n", [1, 0])
+    def test_fewer_than_two_nodes_rejected(self, n):
+        with pytest.raises(ValueError, match="n must be >= 2"):
+            gen_sync(n, 0.1, RngStream(16))
 
     @pytest.mark.parametrize("sigma", [math.nan, math.inf])
     def test_non_finite_sigma_rejected(self, sigma):
@@ -176,6 +190,12 @@ class TestSerialization:
         assert np.array_equal(back.z_true, inst.z_true)
         assert np.array_equal(back.noise, inst.noise)
         assert back.sigma == inst.sigma
+
+    @pytest.mark.parametrize("obj", [None, {"type": "phase_sync"}, np.eye(2)],
+                             ids=["none", "dict", "array"])
+    def test_other_types_not_serialized(self, obj):
+        with pytest.raises(TypeError, match="cannot serialize"):
+            instance_to_dict(obj)
 
     def test_tolerated_negative_moduli_load_as_positive_zero(self, tmp_path):
         inst = gen_phase_retrieval(5, 12, "complex-gaussian", RngStream(37))
