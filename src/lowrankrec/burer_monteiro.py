@@ -181,13 +181,10 @@ def _rgd(C, V, step0, max_iter, threshold):
     f, H, _ = evaluate(C, V)
     trace = [f]
     V_prev = H_prev = None
-    converged = False
-    iterations = 0
     for _ in range(max_iter):
         gn2 = float(np.real(np.vdot(H, H)))
         if math.sqrt(gn2) < threshold:
-            converged = True
-            break
+            return V, trace, len(trace) - 1, True
         if V_prev is None:
             t = step0
         else:
@@ -196,21 +193,18 @@ def _rgd(C, V, step0, max_iter, threshold):
             denom = float(np.real(np.vdot(dV, dH)))
             t = float(np.real(np.vdot(dV, dV))) / denom if denom > 0 else step0
             t = min(max(t, 1e-3 * step0), 1e10 * step0)
-        accepted = False
         for _ in range(60):
             Vc = retract(V, -t * H)
             fc, Hc, _ = evaluate(C, Vc)
             if fc <= f - 1e-4 * t * gn2:
-                accepted = True
                 break
             t *= 0.5
-        if not accepted:
+        else:
             break  # line search stalled at numerical floor
         V_prev, H_prev = V, H
         V, f, H = Vc, fc, Hc
-        iterations += 1
         trace.append(f)
-    return V, trace, iterations, converged
+    return V, trace, len(trace) - 1, False
 
 
 # A Levenberg-Marquardt step below _LM_XTOL relative to the iterate ends the

@@ -34,20 +34,17 @@ from .problems import (
 )
 
 
-def _parse_grid(text):
-    return tuple(float(v) for v in text.split(","))
-
-
 def _parse_list(text):
-    return tuple(text.split(","))
+    """Comma list with the blanks around each entry dropped."""
+    return tuple(tok.strip() for tok in text.split(","))
+
+
+def _parse_grid(text):
+    return tuple(float(v) for v in _parse_list(text))
 
 
 def _parse_p_values(text):
-    out = []
-    for tok in text.split(","):
-        tok = tok.strip()
-        out.append("ref" if tok == "ref" else int(tok))
-    return tuple(out)
+    return tuple(v if v == "ref" else int(v) for v in _parse_list(text))
 
 
 # argparse keywords of each runner parameter; harness._flag spells its flag

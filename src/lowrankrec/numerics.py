@@ -27,20 +27,13 @@ class RngStream:
     def __init__(self, seed, path=()):
         self.seed = int(seed)
         self.path = tuple(int(i) for i in path)
-        self._gen = np.random.Generator(
+        self.generator = np.random.Generator(
             np.random.PCG64(np.random.SeedSequence(self.seed, spawn_key=self.path))
         )
 
     def split(self, *indices):
         """Child stream at path + indices, independent of the parent."""
         return RngStream(self.seed, self.path + tuple(indices))
-
-    @property
-    def generator(self):
-        return self._gen
-
-    def __repr__(self):
-        return f"RngStream(seed={self.seed}, path={self.path})"
 
 
 def sample_gaussian(rng, n, field="complex"):

@@ -206,7 +206,6 @@ def wirtinger_flow(instance, max_iter=5000):
     f = wf_loss(instance, x)
     objectives = [f]
     converged = False
-    iterations = 0
     for _ in range(max_iter):
         g = wf_grad(instance, x)
         gn = float(np.linalg.norm(g))
@@ -225,7 +224,6 @@ def wirtinger_flow(instance, max_iter=5000):
             break
         x = cand
         f = fc
-        iterations += 1
         objectives.append(f)
-    return _report(instance, x, instance.matrix @ x, iterations=iterations,
+    return _report(instance, x, instance.matrix @ x, iterations=len(objectives) - 1,
                    converged=converged, objective_trace=np.asarray(objectives))

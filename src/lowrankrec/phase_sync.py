@@ -61,28 +61,22 @@ def gpm(instance, max_iter=1000, tol=None):
     history = [z]
     residuals = []
     objectives = []
-    converged = False
-    iterations = 0
-    for _ in range(max_iter + 1):
+    while True:
         Cz = C @ z
         objectives.append(_quadratic_form(z, Cz))
         p = torus_project(Cz)
         r = float(np.linalg.norm(p - z))
         residuals.append(r)
-        if r < tol:
-            converged = True
-            break
-        if iterations == max_iter:
+        if r < tol or len(history) > max_iter:
             break
         z = p
-        iterations += 1
         history.append(z)
     err = dist_mod_phase(z, instance.z_true) / np.linalg.norm(instance.z_true)
     report = SolveReport(
         estimate=z,
         rel_error_mod_phase=float(err),
-        iterations=iterations,
-        converged=converged,
+        iterations=len(history) - 1,
+        converged=bool(residuals[-1] < tol),
         residual_trace=np.asarray(residuals),
         objective_trace=np.asarray(objectives),
     )

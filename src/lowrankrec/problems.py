@@ -283,6 +283,8 @@ def instance_from_dict(d):
     z = _array(d, "truth", (n,))
     _require(np.abs(np.abs(z) - 1.0).max(), "truth", "have unit-modulus entries")
     sigma = float(_array(d, "sigma", (), pairs=False))
+    if sigma < 0:  # as gen_sync, with no tolerance
+        raise ValueError(f"instance field 'sigma' must be >= 0, got {sigma}")
     return SyncInstance(C, z, sigma, _hermitian(d, "noise", n, 0.0))
 
 

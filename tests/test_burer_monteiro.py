@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -172,6 +174,25 @@ class TestRiemannianGD:
         V, rep = riemannian_gd(prob, 1, RngStream(15))
         assert rep.converged
         assert rep.iterations == 0
+
+    @pytest.mark.parametrize("exit, max_iter, iterations", [
+        ("converged", 20000, 14), ("stalled", 20000, 3), ("capped", 5, 5)])
+    def test_exit_reports_trace_length(self, monkeypatch, exit, max_iter, iterations):
+        prob = sync_cost(gen_sync(20, 0.3, RngStream(42)))
+        if exit == "stalled":
+            # every point after the fifth evaluation is infinitely worse, so
+            # the line search at the fourth step halves 60 times and gives up
+            evaluate, calls = bm.evaluate, []
+
+            def stalling(C, V):
+                calls.append(None)
+                f, H, lam = evaluate(C, V)
+                return (f if len(calls) <= 5 else math.inf), H, lam
+
+            monkeypatch.setattr(bm, "evaluate", stalling)
+        _, rep = riemannian_gd(prob, 2, RngStream(43), max_iter=max_iter)
+        assert rep.iterations == len(rep.objective_trace) - 1 == iterations
+        assert rep.converged is (exit == "converged")
 
     def test_width_above_dimension_raised(self):
         prob = random_cost(RngStream(13), 5)

@@ -218,6 +218,17 @@ class TestCLI:
         assert main(args + ["--out", str(b)]) == 0
         assert read(a) == read(b)
 
+    @pytest.mark.parametrize("argv, flag, spaced", [
+        (["fig5", "--n", "8", "--mn-grid", "3", "--trials", "2", "--p", "1"], "--ensemble",
+         "complex-gaussian, real-gaussian"),
+        (["fig1", "--n", "8", "--mn-grid", "3", "--trials", "2"], "--algos", "ap, phasecut"),
+    ], ids=["ensemble", "algos"])
+    def test_bench_list_blanks_dropped(self, tmp_path, argv, flag, spaced):
+        a, b = tmp_path / "spaced.csv", tmp_path / "unspaced.csv"
+        assert main(["bench", *argv, flag, spaced, "--out", str(a)]) == 0
+        assert main(["bench", *argv, flag, spaced.replace(" ", ""), "--out", str(b)]) == 0
+        assert read(a) == read(b)
+
     def test_bench_adds_no_defaults(self, tmp_path):
         # an omitted flag is not passed, so the runner's default applies
         a, b = tmp_path / "cli.csv", tmp_path / "config.csv"

@@ -224,6 +224,7 @@ class TestSerialization:
                      id="noise-diagonal"),
         pytest.param(lambda d: d["truth"].__setitem__(0, [3.0, 0.0]), "truth",
                      id="truth-modulus"),
+        pytest.param(lambda d: d.__setitem__("sigma", -3.0), "sigma", id="sigma-negative"),
     ])
     def test_malformed_sync_rejected(self, edit, field):
         d = instance_to_dict(gen_sync(7, 0.8, RngStream(34)))
