@@ -175,13 +175,13 @@ class TestRiemannianGD:
         assert rep.converged
         assert rep.iterations == 0
 
-    @pytest.mark.parametrize("exit, max_iter, iterations", [
+    @pytest.mark.parametrize("stop, max_iter, iterations", [
         ("converged", 20000, 14), ("stalled", 20000, 3), ("capped", 5, 5)])
-    def test_exit_reports_trace_length(self, monkeypatch, exit, max_iter, iterations):
+    def test_exit_reports_trace_length(self, monkeypatch, stop, max_iter, iterations):
         prob = sync_cost(gen_sync(20, 0.3, RngStream(42)))
-        if exit == "stalled":
+        if stop == "stalled":
             # every point after the fifth evaluation is infinitely worse, so
-            # the line search at the fourth step halves 60 times and gives up
+            # the fourth step's line search fails at all 60 of its trial points
             evaluate, calls = bm.evaluate, []
 
             def stalling(C, V):
@@ -192,7 +192,7 @@ class TestRiemannianGD:
             monkeypatch.setattr(bm, "evaluate", stalling)
         _, rep = riemannian_gd(prob, 2, RngStream(43), max_iter=max_iter)
         assert rep.iterations == len(rep.objective_trace) - 1 == iterations
-        assert rep.converged is (exit == "converged")
+        assert rep.converged is (stop == "converged")
 
     def test_width_above_dimension_raised(self):
         prob = random_cost(RngStream(13), 5)

@@ -490,12 +490,12 @@ class TestWirtingerFlow:
         assert rep.iterations == 0
         assert len(calls) == 62
 
-    @pytest.mark.parametrize("exit, max_iter, iterations", [
+    @pytest.mark.parametrize("stop, max_iter, iterations", [
         ("converged", 5000, 862), ("stalled", 5000, 4), ("capped", 3, 3)])
-    def test_exit_reports_trace_length(self, monkeypatch, exit, max_iter, iterations):
+    def test_exit_reports_trace_length(self, monkeypatch, stop, max_iter, iterations):
         inst = gen_phase_retrieval(8, 64, "complex-gaussian", RngStream(44))
         calls = []
-        if exit == "stalled":
+        if stop == "stalled":
             # the loss is infinite after its fifth evaluation: four steps,
             # then a first trial point and 60 halvings that all fail
             loss = phase_retrieval.wf_loss
@@ -507,8 +507,8 @@ class TestWirtingerFlow:
             monkeypatch.setattr(phase_retrieval, "wf_loss", stalling)
         rep = wirtinger_flow(inst, max_iter=max_iter)
         assert rep.iterations == len(rep.objective_trace) - 1 == iterations
-        assert rep.converged is (exit == "converged")
-        assert len(calls) == (66 if exit == "stalled" else 0)
+        assert rep.converged is (stop == "converged")
+        assert len(calls) == (66 if stop == "stalled" else 0)
 
     def test_all_zero_moduli_converge_at_start(self):
         # x = 0 is exact and its gradient is 0, as is the stop threshold

@@ -63,15 +63,15 @@ class TestGPM:
         r2 = 1 - np.sum((y - fit) ** 2) / np.sum((y - y.mean()) ** 2)
         assert slope < 0 and r2 > 0.95
 
-    @pytest.mark.parametrize("exit, max_iter, iterations", [
+    @pytest.mark.parametrize("stop, max_iter, iterations", [
         ("converged", 1000, 9), ("capped", 4, 4)])
-    def test_exit_reports_trace_length(self, exit, max_iter, iterations):
+    def test_exit_reports_trace_length(self, stop, max_iter, iterations):
         # the default tol is an np.float64; converged must still be a bool
         report, history = gpm(gen_sync(40, 0.5, RngStream(45)), max_iter=max_iter)
         assert report.iterations == len(report.objective_trace) - 1 == iterations
         assert len(history) == report.iterations + 1
         assert type(report.converged) is bool
-        assert report.converged is (exit == "converged")
+        assert report.converged is (stop == "converged")
 
     def test_huge_noise_degrades_gracefully(self):
         n = 30
