@@ -154,8 +154,8 @@ def riemannian_gd(problem, p, rng, max_iter=20000):
     Both also stop, unconverged, at max_iter or when no step decreases the
     objective any more.
 
-    Returns (factor, report); the report holds no estimate, the factor
-    carries the result.
+    Returns (factor, report): the factor carries the result, and the
+    report's residual_trace the Riemannian gradient norm at it.
     """
     C = problem.cost
     N = problem.dim
@@ -166,12 +166,13 @@ def riemannian_gd(problem, p, rng, max_iter=20000):
     V = random_factor(rng, N, p)
     if problem.instance is not None:
         inst = problem.instance
-        X, trace, iterations, converged = _vp_lm(
+        X, trace, converged = _vp_lm(
             problem, solve_from_qr(*inst.qr, inst.moduli[:, None] * V), max_iter, threshold)
         V = _unit_rows(inst.matrix @ X)
     else:
-        V, trace, iterations, converged = _rgd(C, V, 0.5 / nrm, max_iter, threshold)
-    return V, SolveReport(iterations=iterations, converged=converged,
+        V, trace, converged = _rgd(C, V, 0.5 / nrm, max_iter, threshold)
+    return V, SolveReport(iterations=len(trace) - 1, converged=converged,
+                          residual_trace=np.asarray([np.linalg.norm(riemannian_grad(problem, V))]),
                           objective_trace=np.asarray(trace))
 
 
@@ -184,7 +185,7 @@ def _rgd(C, V, step0, max_iter, threshold):
     for _ in range(max_iter):
         gn2 = float(np.real(np.vdot(H, H)))
         if math.sqrt(gn2) < threshold:
-            return V, trace, len(trace) - 1, True
+            return V, trace, True
         if V_prev is None:
             t = step0
         else:
@@ -204,7 +205,7 @@ def _rgd(C, V, step0, max_iter, threshold):
         V_prev, H_prev = V, H
         V, f, H = Vc, fc, Hc
         trace.append(f)
-    return V, trace, len(trace) - 1, False
+    return V, trace, False
 
 
 # A Levenberg-Marquardt step below _LM_XTOL relative to the iterate ends the
@@ -237,8 +238,8 @@ def _vp_lm(problem, X, max_iter, threshold):
 
     Stops, converged, when the step is below _LM_XTOL relative to X and the
     Riemannian gradient norm of f at the factor is below threshold.  Returns
-    (X, trace of g, steps, converged), one trace entry per step after the
-    first; g bounds f(V) from above, with equality at critical points.
+    (X, trace of g, converged), one trace entry per step after the first; g
+    bounds f(V) from above, with equality at critical points.
     """
     B, b = problem.instance.matrix, problem.instance.moduli
     m = B.shape[0]
@@ -276,7 +277,7 @@ def _vp_lm(problem, X, max_iter, threshold):
             scale = float(np.max(np.sum(J * J, axis=0)))  # largest diagonal of J^T J
             mu, floor = 1e-3 * scale, 1e-12 * scale
         if not math.isfinite(mu):
-            return X, trace, steps, False  # no step decreases g any more
+            return X, trace, False  # no step decreases g any more
         if 2 * k > m:
             # the same step from the smaller system: (J^T J + mu I)^-1 J^T =
             # J^T (J J^T + mu I)^-1 (Nocedal & Wright, Numerical Optimization,
@@ -288,7 +289,7 @@ def _vp_lm(problem, X, max_iter, threshold):
             h = -np.linalg.solve(J.T @ J + mu * np.eye(2 * k), grad)
         if (np.linalg.norm(h) <= _LM_XTOL * np.linalg.norm(X)
                 and np.linalg.norm(riemannian_grad(problem, _unit_rows(Y))) < threshold):
-            return X, trace, steps, True
+            return X, trace, True
         Xc = X + (h[:k] + 1j * h[k:]).reshape(X.shape)
         Yc, rhoc, Fc = value(Xc)
         predicted = float(h @ (mu * h - grad))
@@ -301,7 +302,7 @@ def _vp_lm(problem, X, max_iter, threshold):
             mu *= nu
             nu *= 2.0
         trace.append(F)
-    return X, trace, max_iter, False
+    return X, trace, False
 
 
 def dual_certificate(problem, V):

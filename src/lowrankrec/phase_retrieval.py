@@ -205,12 +205,11 @@ def wirtinger_flow(instance, max_iter=5000):
     x = wf_spectral_init(instance)
     f = wf_loss(instance, x)
     objectives = [f]
-    converged = False
+    gn = math.inf  # the last gradient norm tested, at or below the threshold only at its exit
     for _ in range(max_iter):
         g = wf_grad(instance, x)
         gn = float(np.linalg.norm(g))
         if gn <= grad_threshold:  # <=: all-zero moduli give threshold 0 at the exact x = 0
-            converged = True
             break
         cand = x - mu * g
         fc = wf_loss(instance, cand)
@@ -226,4 +225,4 @@ def wirtinger_flow(instance, max_iter=5000):
         f = fc
         objectives.append(f)
     return _report(instance, x, instance.matrix @ x, iterations=len(objectives) - 1,
-                   converged=converged, objective_trace=np.asarray(objectives))
+                   converged=gn <= grad_threshold, objective_trace=np.asarray(objectives))

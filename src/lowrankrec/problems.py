@@ -72,9 +72,9 @@ class SolveReport:
 
     iterations: int
     converged: bool
+    residual_trace: np.ndarray    # ends with the residual or gradient norm at the returned point
     estimate: np.ndarray | None = None
     rel_error_mod_phase: float | None = None
-    residual_trace: np.ndarray = ()
     objective_trace: np.ndarray | None = None
 
 
@@ -221,8 +221,11 @@ def _array(d, key, shape, pairs=True):
     """Field key as a finite array of the given shape; pairs decode [re, im] to complex."""
     v = _get(d, key)
     try:
-        a = np.asarray(v, dtype=float)
-    except (TypeError, ValueError):
+        a = np.asarray(v, dtype=object)
+        if not set(map(type, a.flat)) <= {int, float}:  # float() takes strings and bools
+            raise TypeError
+        a = a.astype(float)
+    except (TypeError, ValueError, OverflowError):
         raise ValueError(f"instance field {key!r} is not a numeric array") from None
     want = shape + (2,) if pairs else shape
     if a.shape != want:

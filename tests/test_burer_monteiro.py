@@ -190,9 +190,10 @@ class TestRiemannianGD:
                 return (f if len(calls) <= 5 else math.inf), H, lam
 
             monkeypatch.setattr(bm, "evaluate", stalling)
-        _, rep = riemannian_gd(prob, 2, RngStream(43), max_iter=max_iter)
+        V, rep = riemannian_gd(prob, 2, RngStream(43), max_iter=max_iter)
         assert rep.iterations == len(rep.objective_trace) - 1 == iterations
         assert rep.converged is (stop == "converged")
+        assert rep.residual_trace[-1] == np.linalg.norm(riemannian_grad(prob, V))
 
     def test_width_above_dimension_raised(self):
         prob = random_cost(RngStream(13), 5)
@@ -274,6 +275,19 @@ class TestPhasecutSolve:
         assert rep.converged and rep.iterations == 0
         assert dist_mod_phase(V[:, 0], u[:, 0]) <= 1e-9 * np.sqrt(48)
 
+    @pytest.mark.parametrize("max_iter, converged", [(6000, True), (3, False)],
+                             ids=["converged", "capped"])
+    def test_exit_reports_trace_length(self, max_iter, converged):
+        inst = gen_phase_retrieval(8, 48, "complex-gaussian", RngStream(44))
+        prob = phasecut_cost(inst)
+        V, rep = riemannian_gd(prob, 2, RngStream(45), max_iter=max_iter)
+        assert rep.iterations == len(rep.objective_trace) - 1
+        assert rep.converged is converged
+        assert converged or rep.iterations == max_iter
+        residual = np.linalg.norm(riemannian_grad(prob, V))
+        assert rep.residual_trace[-1] == residual
+        assert not converged or residual < 1e-10 * opnorm_estimate(prob.cost) * prob.dim
+
 
 class TestDispatch:
     """A PhaseCut problem is the one that carries its instance: it alone takes LM."""
@@ -353,9 +367,9 @@ class TestLevenbergMarquardtSystem:
         assert 2 * inst.n * p > inst.m
         X0 = inst.moduli[:, None] * random_factor(rng.split(1), inst.m, p)
         X0 = np.linalg.lstsq(inst.matrix, X0, rcond=None)[0]
-        X, trace, steps, converged = bm._vp_lm(prob, X0, 6, 0.0)
+        X, trace, converged = bm._vp_lm(prob, X0, 6, 0.0)
         want, want_trace = lm_reference(prob, X0, 6)
-        assert (steps, converged, len(trace)) == (6, False, len(want_trace))
+        assert (converged, len(trace)) == (False, len(want_trace)) == (False, 7)
         assert np.allclose(trace, want_trace, rtol=1e-12, atol=0)
         assert np.linalg.norm(X - want) <= 1e-12 * np.linalg.norm(want)
 

@@ -346,10 +346,6 @@ class TestCLI:
         (["fig5", "--n", "8", "--mn-grid", "3,-1", "--trials", "1", "--p", "1"], "_bm_trial",
          "--mn-grid: m/n must be finite and >= 0, got -1.0"),
         (["sync", "--n", "20", "--sigma", "0,inf"], "gpm", "--sigma: sigma must be finite, got inf"),
-        (["fig1", "--n", "8", "--mn-grid", "3,70", "--trials", "1", "--algos", "ap,phasecut"],
-         "_ap_trial", "--mn-grid: phasecut's reference-width solve needs m <= 512, got 70.0"),
-        (["fig1", "--n", "8", "--mn-grid", "3,70", "--trials", "1", "--algos", "phasecut"],
-         "riemannian_gd", "--mn-grid: phasecut's reference-width solve needs m <= 512, got 70.0"),
         (["fig5", "--n", "4", "--mn-grid", "3,1", "--p", "5", "--trials", "1",
           "--ensemble", "complex-gaussian"], "riemannian_gd",
          "--p: factor width must be <= m = 4, got 5"),
@@ -377,10 +373,9 @@ class TestCLI:
         (["sync", "--n", "10", "--sigma", "0,0.1,0"], "gpm",
          "--sigma: repeats 0.0 of an earlier entry, got 0.0"),
     ], ids=["fig3-d", "fig5-frame-size", "sync-sigma", "fig1-nan", "fig1-inf", "fig5-negative",
-            "sync-sigma-inf", "fig1-phasecut-size-ap", "fig1-phasecut-size-ref", "fig5-p-above-m",
-            "fig5-ref-above-m", "fig1-phasecut-ref-width", "fig1-repeat-algos", "fig1-repeat-m",
-            "fig5-repeat-m", "fig5-repeat-p", "fig5-repeat-ensemble", "fig3-repeat-d",
-            "sync-repeat-sigma"])
+            "sync-sigma-inf", "fig5-p-above-m", "fig5-ref-above-m", "fig1-phasecut-ref-width",
+            "fig1-repeat-algos", "fig1-repeat-m", "fig5-repeat-m", "fig5-repeat-p",
+            "fig5-repeat-ensemble", "fig3-repeat-d", "sync-repeat-sigma"])
     def test_bad_grid_value_fails_before_any_trial(self, tmp_path, monkeypatch, capsys,
                                                    argv, trial, need):
         calls = []
@@ -388,6 +383,28 @@ class TestCLI:
         assert main(["bench", *argv, "--out", str(tmp_path / "x.csv")]) == 2
         assert calls == []
         assert need in capsys.readouterr().err
+
+    def test_fig1_phasecut_has_no_size_limit(self, tmp_path, monkeypatch):
+        # m = 560: the reference-width solve is fig5's `ref` column, which has no limit on m
+        calls = []
+        monkeypatch.setattr(harness, "_bm_trial", lambda *a, **k: calls.append(a) or True)
+        assert main(["bench", "fig1", "--n", "8", "--mn-grid", "70", "--trials", "1",
+                     "--algos", "phasecut", "--out", str(tmp_path / "x.csv")]) == 0
+        assert [(inst.m, p) for inst, p, *_ in calls] == [(560, 35)]
+
+    @pytest.mark.parametrize("argv", [
+        ["bench", "fig1", "--n", "8", "--mn-grid", "0", "--trials", "2", "--seed", "-1"],
+        ["bench", "fig1", "--n", "8", "--mn-grid", "3", "--trials", "2", "--seed", "-1"],
+        ["gen", "sync", "--n", "10", "--seed", "-1"],
+        ["solve", "ap", "--in", "missing.json", "--seed", "-1"],
+        ["solve", "bm", "--in", "missing.json", "--seed", "-1"],
+    ], ids=["fig1-no-trial", "fig1", "gen-sync", "solve-ap", "solve-bm"])
+    def test_negative_seed_exit_code(self, tmp_path, monkeypatch, capsys, argv):
+        # rejected naming its flag, before the instance file is read or any file written
+        monkeypatch.chdir(tmp_path)
+        assert main(argv + ["--out", "out"]) == 2
+        assert "config error: --seed must be >= 0, got -1" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_fig1_writes_zero_measurement_row(self, tmp_path):
         # m = 0 is fig5's 0-success row, not a configuration error
@@ -599,8 +616,9 @@ class TestCLI:
         assert main(["solve", solver, "--in", str(inst_path)]) == 0
         assert capsys.readouterr().out == read(out).decode()
 
-    @pytest.mark.parametrize("matrix", ["not numbers", {"re": 1.0}, [[[1.0, 0.0]], [[1.0]]]],
-                             ids=["string", "object", "ragged"])
+    @pytest.mark.parametrize("matrix", ["not numbers", {"re": 1.0}, [[[1.0, 0.0]], [[1.0]]],
+                                        [[[True, False]] * 8] * 48],
+                             ids=["string", "object", "ragged", "bool"])
     def test_non_numeric_instance_exit_code(self, tmp_path, capsys, matrix):
         inst_path = tmp_path / "inst.json"
         main(["gen", "pr", "--n", "8", "--m", "48", "--out", str(inst_path)])

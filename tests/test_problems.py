@@ -225,6 +225,9 @@ class TestSerialization:
         pytest.param(lambda d: d["truth"].__setitem__(0, [3.0, 0.0]), "truth",
                      id="truth-modulus"),
         pytest.param(lambda d: d.__setitem__("sigma", -3.0), "sigma", id="sigma-negative"),
+        # JSON numbers only: float() would take a boolean or a numeric string
+        pytest.param(lambda d: d.__setitem__("sigma", True), "sigma", id="sigma-bool"),
+        pytest.param(lambda d: d.__setitem__("sigma", "0.5"), "sigma", id="sigma-string"),
     ])
     def test_malformed_sync_rejected(self, edit, field):
         d = instance_to_dict(gen_sync(7, 0.8, RngStream(34)))
@@ -247,6 +250,13 @@ class TestSerialization:
         # bool is an int subclass: true must not load as n = 1
         pytest.param(lambda d: d.update(instance_to_dict(gen_phase_retrieval(
             1, 3, "complex-gaussian", RngStream(36))), n=True), "n", id="n-bool"),
+        pytest.param(lambda d: d.update(moduli=[str(b) for b in d["moduli"]]), "moduli",
+                     id="moduli-strings"),
+        pytest.param(lambda d: d["moduli"].__setitem__(3, True), "moduli", id="moduli-bool-entry"),
+        pytest.param(lambda d: d.update(matrix=[[[True, False]] * 5] * 12), "matrix",
+                     id="matrix-bool"),
+        pytest.param(lambda d: d["moduli"].__setitem__(0, 10 ** 400), "moduli",
+                     id="moduli-int-beyond-float"),
     ])
     def test_malformed_phase_retrieval_rejected(self, edit, field):
         d = instance_to_dict(gen_phase_retrieval(5, 12, "complex-gaussian", RngStream(35)))

@@ -22,9 +22,13 @@ alternating projections' solve with B^T B squares its conditioning), basin at
 m = n + 1 (where lifting the limits' coefficients through R is worst
 conditioned; the map has 10 clusters), and `gen` files with `solve` runs on
 each of them.
-On each phase retrieval file, `solve ap` runs once more with `--max-iter 37`,
-a cap inside a block of the stop test; the complex and structured runs reach
-it, the real-field run converges at step 11.
+Some solves run once more with a `--max-iter` cap, 54 outputs in all.  On
+each phase retrieval file `solve ap` takes `--max-iter 37`, a cap inside a
+block of the stop test; the complex and structured runs reach it, the
+real-field run converges at step 11.  `solve bm --max-iter 3` on the complex
+file ends at Levenberg-Marquardt's cap, and on the sync file
+`solve gpm --max-iter 3` and `solve bm --max-iter 5` end at the caps of the
+power method and of Riemannian gradient descent.
 """
 
 from __future__ import annotations
@@ -80,14 +84,17 @@ BENCH = [
     ["basin", "--n", "8", "--m", "9", "--grid", "7", "--max-iter", "300", "--seed", "1"],
 ]
 
-# instance files: name -> `gen` arguments, and the solvers run on each
+# instance files: name -> `gen` arguments, the solvers run on each, and the
+# (solver, --max-iter) pairs run once more with that cap
 GEN = {
-    "complex-gaussian": (["pr", "--n", "16", "--m", "96", "--seed", "7"], ("ap", "wf", "bm")),
+    "complex-gaussian": (["pr", "--n", "16", "--m", "96", "--seed", "7"], ("ap", "wf", "bm"),
+                         (("ap", 37), ("bm", 3))),
     "real-gaussian": (["pr", "--n", "16", "--m", "96", "--ensemble", "real-gaussian",
-                       "--seed", "7"], ("ap", "wf", "bm")),
+                       "--seed", "7"], ("ap", "wf", "bm"), (("ap", 37),)),
     "structured-frame": (["pr", "--n", "16", "--m", "96", "--ensemble", "structured-frame",
-                          "--seed", "7"], ("ap", "wf", "bm")),
-    "sync": (["sync", "--n", "30", "--sigma", "0.5", "--seed", "7"], ("gpm", "bm")),
+                          "--seed", "7"], ("ap", "wf", "bm"), (("ap", 37),)),
+    "sync": (["sync", "--n", "30", "--sigma", "0.5", "--seed", "7"], ("gpm", "bm"),
+             (("gpm", 3), ("bm", 5))),
 }
 
 
@@ -110,14 +117,14 @@ def command_lines(out_dir):
     lines = perfbench_lines(out_dir)
     lines += [["bench"] + argv + ["--out", str(out_dir / f"bench-{i}.csv")]
               for i, argv in enumerate(BENCH)]
-    for name, (argv, solvers) in GEN.items():
+    for name, (argv, solvers, capped) in GEN.items():
         inst = str(out_dir / f"{name}.json")
         lines.append(["gen"] + argv + ["--out", inst])
         lines += [["solve", solver, "--in", inst, "--out", str(out_dir / f"{solver}-{name}.json")]
                   for solver in solvers]
-        if "ap" in solvers:
-            lines.append(["solve", "ap", "--in", inst, "--max-iter", "37",
-                          "--out", str(out_dir / f"ap-capped-{name}.json")])
+        lines += [["solve", solver, "--in", inst, "--max-iter", str(cap),
+                   "--out", str(out_dir / f"{solver}-capped-{name}.json")]
+                  for solver, cap in capped]
     return lines
 
 
